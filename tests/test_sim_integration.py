@@ -8,12 +8,14 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.sim import PrefetchMode, mode_available, run_comparison, simulate
+from repro.sim.engine.request import resolve_policy
 from repro.sim.modes import FIGURE7_MODES
 from repro.sim.results import geometric_mean
 from repro.sim.sweeps import ppu_count_frequency_sweep, ppu_frequency_sweep
 from repro.workloads import registry
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_stats.json"
+STRESS_PATH = GOLDEN_PATH.with_name("engine_stress_stats.json")
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,55 @@ class TestGoldenStats:
                 f"fingerprint — the timing model changed"
             )
             checked += 1
+        assert checked > 0
+
+
+@pytest.fixture(scope="module")
+def stress_stats():
+    return json.loads(STRESS_PATH.read_text(encoding="utf-8"))
+
+
+class TestEngineStressStats:
+    """Bit-identical equivalence on event-engine paths the golden file misses.
+
+    No default-configuration fingerprint drops a prefetch request or uses a
+    non-default scheduling policy.  ``engine_stress_stats.json`` (written by
+    ``tools/update_golden_stats.py`` next to the golden file) pins every
+    programmable mode of the paper workloads under a two-entry request
+    queue, a two-entry observation queue on one PPU, round-robin scheduling,
+    and the blocking ablation on one PPU; each configuration is stored with
+    its fingerprints.
+    """
+
+    def test_stress_file_covers_every_configuration(self, stress_stats):
+        labels = {key.split("/", 1)[0] for key in stress_stats["fingerprints"]}
+        assert labels == set(stress_stats["configurations"])
+
+    def test_stress_reaches_request_drops(self, stress_stats):
+        fingerprints = stress_stats["fingerprints"]
+        assert fingerprints["prefetch-queue-2/g500-csr/manual"]["prefetcher"][
+            "request_queue_dropped"
+        ] > 0
+
+    @pytest.mark.parametrize("name", registry.paper_names())
+    def test_bit_identical_results_under_stress(self, name, tiny_workloads, stress_stats):
+        workload = tiny_workloads.get(name)
+        base = SystemConfig.scaled()
+        checked = 0
+        for label, spec in stress_stats["configurations"].items():
+            config = base.with_prefetcher(**spec["prefetcher"])
+            for mode_name in spec["modes"]:
+                mode = PrefetchMode(mode_name)
+                key = f"{label}/{name}/{mode_name}"
+                if not mode_available(workload, mode):
+                    assert key not in stress_stats["fingerprints"]
+                    continue
+                result = simulate(workload, mode, config, policy=resolve_policy(spec["policy"]))
+                measured = json.loads(json.dumps(result.as_dict()))
+                assert measured == stress_stats["fingerprints"][key], (
+                    f"{key}: simulation diverged from the engine-stress fingerprint"
+                )
+                checked += 1
         assert checked > 0
 
 
