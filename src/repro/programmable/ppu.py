@@ -1,15 +1,15 @@
 """Programmable prefetch units (Section 4.4).
 
 Each PPU is a tiny in-order core.  The model tracks when each unit is busy and
-how much work it has done; kernel execution itself (both its effects and its
-dynamic instruction count) is handled by
-:func:`repro.programmable.interpreter.execute_kernel`, and the PPU converts
-the instruction count into busy time using the PPU/core clock ratio.
+how much work it has done.  The engine runs the kernels (compiled closures or
+:func:`repro.programmable.interpreter.execute_kernel`) and turns each event's
+dynamic instruction count, plus :data:`EVENT_DISPATCH_OVERHEAD_PPU_CYCLES`,
+into busy time using the PPU/core clock ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 #: Fixed per-event overhead, in PPU cycles, covering the scheduler writing the
 #: observation into the PPU's registers and setting its program counter.
@@ -25,13 +25,7 @@ class PPUStats:
     busy_cycles: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "events_executed": self.events_executed,
-            "instructions_executed": self.instructions_executed,
-            "prefetches_generated": self.prefetches_generated,
-            "kernel_aborts": self.kernel_aborts,
-            "busy_cycles": self.busy_cycles,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -41,30 +35,6 @@ class PPU:
     ppu_id: int
     busy_until: float = 0.0
     stats: PPUStats = field(default_factory=PPUStats)
-
-    def is_free(self, time: float) -> bool:
-        return self.busy_until <= time
-
-    def assign(self, start_time: float, ppu_instructions: int, cycle_ratio: float) -> float:
-        """Occupy the PPU for one event; returns the completion time.
-
-        ``ppu_instructions`` is the dynamic instruction count of the kernel;
-        ``cycle_ratio`` is main-core cycles per PPU cycle.
-        """
-
-        duration = (ppu_instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * cycle_ratio
-        self.busy_until = start_time + duration
-        self.stats.events_executed += 1
-        self.stats.instructions_executed += ppu_instructions
-        self.stats.busy_cycles += duration
-        return self.busy_until
-
-    def extend(self, until: float) -> None:
-        """Keep the PPU busy until ``until`` (used by the blocking ablation)."""
-
-        if until > self.busy_until:
-            self.stats.busy_cycles += until - self.busy_until
-            self.busy_until = until
 
     def activity_factor(self, total_cycles: float) -> float:
         """Fraction of the run this PPU spent awake (Figure 10)."""

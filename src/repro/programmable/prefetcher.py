@@ -24,15 +24,14 @@ loads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 from ..config import CACHE_LINE_BYTES, SystemConfig
 from ..errors import ConfigurationError
 from ..memory.hierarchy import MemoryHierarchy
-from ..memory.layout import line_address
 from .compiler import kernel_executor
-from .config_api import PrefetcherConfiguration, RangeConfig, TagConfig
+from .config_api import PrefetcherConfiguration
 from .ewma import LookaheadCalculator
 from .events import Observation, ObservationKind, PrefetchRequest
 from .filter import AddressFilter
@@ -41,19 +40,29 @@ from .queues import ObservationQueue, PrefetchRequestQueue
 from .registers import GlobalRegisterFile
 from .scheduler import LowestFreeIdPolicy, SchedulingPolicy
 
-# Internal event kinds on the engine's heap.
+# Event kinds on the engine's heap, whose entries are flat
+# ``(time, seq, kind, a, b)`` tuples.  ``seq`` is unique and increasing, so
+# events due at the same time run in the order they were scheduled and the
+# payload fields are never compared:
+#
+# * ``_EV_OBSERVATION`` — ``a`` is the :class:`Observation` of a snooped load;
+# * ``_EV_PPU_DONE`` — a kernel finished: ``a`` is its ``(addr, tag)``
+#   prefetches, ``b`` the :class:`Observation` it ran for;
+# * ``_EV_DRAIN`` — retry the request queue (an L1 MSHR may be free);
+# * ``_EV_FILL`` — ``a`` is the :class:`PrefetchRequest` whose data arrived.
 _EV_OBSERVATION = 0
 _EV_PPU_DONE = 1
 _EV_DRAIN = 2
 _EV_FILL = 3
 
-# Enum members hoisted for the hot observation constructors.
+# What a PPU-done event queues: nothing, but the freed PPU dispatches once.
+_FREED = (None,)
+
 _OBS_LOAD = ObservationKind.LOAD
-_OBS_PREFETCH = ObservationKind.PREFETCH
 
 
 @dataclass(slots=True)
-class EngineStats:
+class EventEngineStats:
     """Aggregate statistics of one run of the programmable prefetcher."""
 
     loads_snooped: int = 0
@@ -70,20 +79,7 @@ class EngineStats:
     activity_factors: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "loads_snooped": self.loads_snooped,
-            "observations_created": self.observations_created,
-            "observations_dropped": self.observations_dropped,
-            "events_executed": self.events_executed,
-            "kernel_aborts": self.kernel_aborts,
-            "ppu_instructions": self.ppu_instructions,
-            "prefetches_generated": self.prefetches_generated,
-            "prefetches_dropped": self.prefetches_dropped,
-            "prefetches_issued": self.prefetches_issued,
-            "prefetches_discarded": self.prefetches_discarded,
-            "fills_observed": self.fills_observed,
-            "activity_factors": list(self.activity_factors),
-        }
+        return asdict(self)
 
 
 class EventTriggeredPrefetcher:
@@ -118,66 +114,31 @@ class EventTriggeredPrefetcher:
                 raise ConfigurationError(
                     f"global register {name!r} assigned index {assigned}, expected {index}"
                 )
+        # The *live* register list: kernels cannot write globals.
+        self._globals_view = self.globals.values_view()
 
-        self._streams = configuration.streams
+        streams = configuration.streams
         self._lookaheads: dict[str, LookaheadCalculator] = {
             name: LookaheadCalculator(
                 alpha=self.config.ewma_alpha, default_distance=stream.default_distance
             )
-            for name, stream in self._streams.items()
+            for name, stream in streams.items()
         }
+        self._calc_by_index = {
+            stream.index: self._lookaheads[name] for name, stream in streams.items()
+        }
+        self._unconfigured_distance = LookaheadCalculator().default_distance
         # Kernels are resolved to executors once, here — compiled closures by
         # default (cached process-wide by program digest), or interpreter
-        # wrappers under ``REPRO_KERNEL_COMPILER=off``.  Event handling then
-        # pays a single dict lookup and one call per event instead of
-        # re-dispatching every kernel instruction.
+        # wrappers under ``REPRO_KERNEL_COMPILER=off``.
         self._executors = {
             name: kernel_executor(program)
             for name, program in configuration.kernels.items()
         }
-        # The *live* register list (kernels cannot write globals) and the
-        # bound look-ahead resolver, hoisted so no per-event context object
-        # needs to be built.
-        self._globals_view = self.globals.values_view()
-        # Per-event hot-path state, resolved once: the tag table as a plain
-        # dict, look-ahead calculators by stream index, the default distance
-        # for unconfigured streams, and whether the scheduling policy is the
-        # paper's lowest-free-id policy (inlined in _dispatch).
-        self._tag_configs = configuration.tags
-        # Package-private peek at the filter's pre-partitioned load entries:
-        # _on_snoop runs for every demand read, and inlining the match saves
-        # a call per load (the filter's counters are still kept exactly).
-        self._load_entries = self.filter._load_entries
-        self._prefetch_entries = self.filter._prefetch_entries
-        self._filter_stats = self.filter.stats
-        # Convex hull of the load-watched ranges: a snooped address outside
-        # [lo, hi) cannot match any entry, so the per-load match scan is
-        # skipped entirely (counters are still kept exactly).
-        if self._load_entries:
-            self._load_lo = min(base for base, _end, _entry in self._load_entries)
-            self._load_hi = max(end for _base, end, _entry in self._load_entries)
-        else:
-            self._load_lo = self._load_hi = 0
-        # With exactly one watched range the hull test IS the match test, so
-        # the snoop path can reuse a pre-built single-entry match list.
-        self._single_load_match = (
-            [self._load_entries[0][2]] if len(self._load_entries) == 1 else None
-        )
-        # Upper bound on observations one fill can create (one for its tag
-        # plus one per matching prefetch range): when the observation queue
-        # has at least this much headroom, the fill fast path can batch its
-        # pushes without changing drop accounting.
-        self._max_fill_observations = 1 + len(self._prefetch_entries)
-        self._calc_by_index = {
-            stream.index: self._lookaheads[name]
-            for name, stream in self._streams.items()
-        }
-        self._unconfigured_distance = LookaheadCalculator().default_distance
-        self._fast_policy = type(self.policy) is LowestFreeIdPolicy
 
-        self.stats = EngineStats()
+        self.stats = EventEngineStats()
         self._hierarchy: Optional[MemoryHierarchy] = None
-        self._heap: list[tuple[float, int, int, object]] = []
+        self._heap: list[tuple] = []
         self._sequence = 0
 
     # ------------------------------------------------------------- attachment
@@ -198,87 +159,58 @@ class EventTriggeredPrefetcher:
     # ------------------------------------------------------------------ snoop
 
     def _on_snoop(self, addr: int, time: float, level: str) -> None:
+        """Filter one demand load: schedule an observation per matching load kernel."""
+
         del level  # The address filter watches every demand load.
         self.stats.loads_snooped += 1
-        # AddressFilter.match_load, inlined (it runs per demand read).
-        filter_stats = self._filter_stats
-        filter_stats.load_snoops += 1
-        if not self._load_lo <= addr < self._load_hi:
+        address_filter = self.filter
+        address_filter.stats.load_snoops += 1
+        if not address_filter.load_lo <= addr < address_filter.load_hi:
             return
-        matches = self._single_load_match
-        if matches is None:
-            matches = [
-                entry for base, end, entry in self._load_entries if base <= addr < end
-            ]
-            if not matches:
-                return
-        filter_stats.load_matches += 1
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
+        matched = False
         line_words: Optional[tuple[int, ...]] = None
-        line_base = 0
-        for entry in matches:
+        for base, end, entry in address_filter.load_entries:
+            if not base <= addr < end:
+                continue
+            if not matched:
+                matched = True
+                address_filter.stats.load_matches += 1
             if entry.time_iterations and entry.stream is not None:
-                # Streams referenced by ranges are checked by validate(), so
-                # the plain dict access cannot miss.  observe_iteration is
-                # inlined: it runs per matched load on timing ranges, and
-                # the common case only bumps the window counter.
-                calculator = self._lookaheads[entry.stream]
-                start = calculator._window_start_time
-                if start is None:
-                    calculator._window_start_time = time
-                    calculator._window_count = 0
-                else:
-                    calculator._window_count = count = calculator._window_count + 1
-                    if count >= calculator.iteration_window:
-                        delta = time - start
-                        if delta > 0:
-                            calculator.iteration_time.update(delta / count)
-                            calculator._cached_distance = None
-                        calculator._window_start_time = time
-                        calculator._window_count = 0
+                self._lookaheads[entry.stream].observe_iteration(time)
             if entry.load_kernel is None:
                 continue
             if line_words is None:  # read the snooped line once, not per match
-                line_base = addr - (addr % CACHE_LINE_BYTES)
-                line_words = hierarchy._line_words_cache.get(line_base)
-                if line_words is None:
-                    line_words = hierarchy.read_line_words(addr)
-            # Positional construction: keyword NamedTuple construction costs
-            # measurably more, and this runs per matching demand load.
+                line_words = self._hierarchy.read_line_words(addr)
             observation = Observation(
                 _OBS_LOAD,
                 addr,
                 time,
                 entry.load_kernel,
-                line_base,
+                addr - addr % CACHE_LINE_BYTES,
                 line_words,
                 entry.stream,
                 time if entry.chain_start else None,
             )
             self.stats.observations_created += 1
             self._sequence = sequence = self._sequence + 1
-            heapq.heappush(self._heap, (time, sequence, _EV_OBSERVATION, observation))
+            heapq.heappush(self._heap, (time, sequence, _EV_OBSERVATION, observation, None))
 
     # ------------------------------------------------------------------ clock
-
-    def _push(self, time: float, kind: int, payload: object) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap, (time, self._sequence, kind, payload))
 
     def advance_to(self, time: float) -> None:
         """Process every internal event scheduled at or before ``time``.
 
-        This is the engine's main loop, called before every demand access.
-        The per-event handlers (queue pushes with drop accounting, PPU
-        dispatch, kernel execution, request enqueueing) are inlined here:
-        with compiled kernels the interpreter is no longer the bottleneck,
-        and the call fan-out per event — handler → queue.push → dispatch →
-        policy.select → run_event → ppu.assign — was the next largest cost.
-        Semantics (event ordering, drop accounting, statistics) are
-        unchanged and pinned by the golden-stats suite; the blocking
-        ablation and custom scheduling policies take the original
-        method-per-step path.
+        This is the engine's only loop, called before every demand access
+        and shared by every scheduling policy and the blocking ablation.  An
+        event first gathers what it queues — the snooped observation, or all
+        the observations a fill raises — and then queues them one at a time,
+        dispatching after each: the scheduling policy picks a free PPU for the
+        oldest waiting observation until none is free.  A PPU-done event
+        queues its prefetch requests, dispatches once (its PPU is free again)
+        and then issues requests into free L1 MSHRs, through a drain event at
+        the same time when other events are already due then.  A drain event
+        only issues requests.  Every result is pinned by the ``(time, seq)``
+        order of the heap.
         """
 
         heap = self._heap
@@ -286,440 +218,138 @@ class EventTriggeredPrefetcher:
             return
         stats = self.stats
         hierarchy = self._hierarchy
-        tag_configs = self._tag_configs
-        prefetch_entries = self._prefetch_entries
-        filter_stats = self._filter_stats
+        address_filter = self.filter
         lookaheads = self._lookaheads
-        observation_queue = self.observation_queue
-        obs_entries = observation_queue.entries
-        obs_capacity = observation_queue.capacity
-        request_queue = self.request_queue
-        req_entries = request_queue.entries
-        req_capacity = request_queue.capacity
+        obs_queue = self.observation_queue
+        obs_entries = obs_queue.entries
+        obs_capacity = obs_queue.capacity
+        req_queue = self.request_queue
+        req_entries = req_queue.entries
+        req_capacity = req_queue.capacity
         ppus = self.ppus
-        fast = self._fast_policy and not self.blocking
+        select = self.policy.select
+        blocking = self.blocking
         executors = self._executors
         globals_view = self._globals_view
         lookahead = self._lookahead_by_index
         cycle_ratio = self.cycle_ratio
         heappop = heapq.heappop
         heappush = heapq.heappush
-        if hierarchy is not None:
-            prefetch_access = hierarchy.prefetch_access
-            next_free = hierarchy.l1_mshrs.next_free_time
 
         while heap and heap[0][0] <= time:
-            event_time, _seq, kind, payload = heappop(heap)
-            drain_after = False
-
+            now, _seq, kind, a, b = heappop(heap)
             if kind == _EV_OBSERVATION:
-                observation_queue.pushed += 1
-                if len(obs_entries) >= obs_capacity:
-                    obs_entries.popleft()
-                    observation_queue.dropped += 1
-                    stats.observations_dropped += 1
-                obs_entries.append(payload)
-
+                incoming = (a,)
             elif kind == _EV_PPU_DONE:
-                prefetches, observation = payload
-                stream = observation.stream
-                chain_start_time = observation.chain_start_time
-                for addr, tag in prefetches:
-                    request_queue.pushed += 1
+                for addr, tag in a:
+                    req_queue.pushed += 1
                     if len(req_entries) >= req_capacity:
                         req_entries.popleft()
-                        request_queue.dropped += 1
+                        req_queue.dropped += 1
                         stats.prefetches_dropped += 1
                     req_entries.append(
-                        PrefetchRequest(addr, tag, event_time, stream, chain_start_time)
+                        PrefetchRequest(addr, tag, now, b.stream, b.chain_start_time)
                     )
-                # The PPU that finished is free again; fall through to
-                # dispatch waiting observations, then drain the requests
-                # (the drain must order after the dispatch's PPU-done
-                # pushes, so it runs below).
-                drain_after = bool(req_entries)
-
-            elif kind == _EV_DRAIN:
-                self._handle_drain(event_time)
-                continue
-
-            else:  # _EV_FILL
-                # _fill_observations, inlined: EWMA chain updates and the
-                # follow-on observations push straight into the queue in the
-                # same order the list-building version produced them.
+                incoming = _FREED
+            elif kind == _EV_FILL:
                 stats.fills_observed += 1
-                request = payload
-                if len(obs_entries) + self._max_fill_observations > obs_capacity:
-                    # Near-saturated observation queue: batching the pushes
-                    # could drop entries a dispatch between them would have
-                    # freed room for, so replicate the original
-                    # per-observation push→dispatch interleaving exactly.
-                    for observation in self._fill_observations(request, event_time):
-                        stats.observations_created += 1
-                        dropped_before = observation_queue.dropped
-                        observation_queue.push(observation)
-                        stats.observations_dropped += (
-                            observation_queue.dropped - dropped_before
-                        )
-                        self._dispatch(event_time)
-                    continue
-                addr = request.addr
-                line_base = addr - (addr % CACHE_LINE_BYTES)
-                line_words = hierarchy._line_words_cache.get(line_base)
-                if line_words is None:
-                    line_words = hierarchy.read_line_words(addr)
-                tag = request.tag
-                created = 0
-                tag_config = tag_configs.get(tag) if tag >= 0 else None
-                if tag_config is not None:
-                    stream = tag_config.stream or request.stream
-                    chain = request.chain_start_time
-                    if tag_config.chain_end and chain is not None and stream is not None:
-                        lookaheads[stream].observe_chain(chain, event_time)
-                        chain = None
-                    observation = Observation(
-                        _OBS_PREFETCH,
-                        addr,
-                        event_time,
-                        tag_config.kernel,
-                        line_base,
-                        line_words,
-                        stream,
-                        chain,
-                    )
-                    stats.observations_created += 1
-                    observation_queue.pushed += 1
-                    if len(obs_entries) >= obs_capacity:
-                        obs_entries.popleft()
-                        observation_queue.dropped += 1
-                        stats.observations_dropped += 1
-                    obs_entries.append(observation)
-                    created += 1
-                matched = False
-                for base, end, entry in prefetch_entries:
-                    if not base <= addr < end:
-                        continue
-                    if not matched:
-                        matched = True
-                        filter_stats.prefetch_matches += 1
-                    stream = entry.stream or request.stream
-                    chain = request.chain_start_time
-                    if entry.chain_end and chain is not None and stream is not None:
-                        lookaheads[stream].observe_chain(chain, event_time)
-                        chain = None
-                    if entry.chain_start:
-                        chain = event_time
-                    if entry.prefetch_kernel is None:
-                        continue
-                    observation = Observation(
-                        _OBS_PREFETCH,
-                        addr,
-                        event_time,
-                        entry.prefetch_kernel,
-                        line_base,
-                        line_words,
-                        stream,
-                        chain,
-                    )
-                    stats.observations_created += 1
-                    observation_queue.pushed += 1
-                    if len(obs_entries) >= obs_capacity:
-                        obs_entries.popleft()
-                        observation_queue.dropped += 1
-                        stats.observations_dropped += 1
-                    obs_entries.append(observation)
-                    created += 1
-                if not created:
-                    continue
+                incoming = address_filter.fill_observations(
+                    a, now, hierarchy.read_line_words(a.addr), lookaheads
+                )
+                stats.observations_created += len(incoming)
+            else:  # _EV_DRAIN
+                incoming = ()
 
-            # Dispatch: oldest waiting observation onto the lowest free PPU.
-            if obs_entries and not fast:
-                self._dispatch(event_time)
-            while obs_entries and fast:
-                # Lowest-free-id scan; PPU 0 free is the common case, so it
-                # is tested before paying for the loop.
-                free = ppus[0]
-                if free.busy_until > event_time:
-                    free = None
-                    for ppu in ppus:
-                        if ppu.busy_until <= event_time:
-                            free = ppu
-                            break
-                    if free is None:
+            for queued in incoming:
+                if queued is not None:
+                    obs_queue.pushed += 1
+                    if len(obs_entries) >= obs_capacity:
+                        obs_entries.popleft()
+                        obs_queue.dropped += 1
+                        stats.observations_dropped += 1
+                    obs_entries.append(queued)
+                while obs_entries:
+                    ppu = select(ppus, now)
+                    if ppu is None:
                         break
-                observation = obs_entries.popleft()
-                # _run_event, inlined.
-                prefetches, instructions, aborted = executors[observation.kernel_name](
-                    observation.addr,
-                    observation.line_base,
-                    observation.line_words,
-                    globals_view,
-                    lookahead,
-                )
-                ppu_stats = free.stats
-                stats.events_executed += 1
-                stats.ppu_instructions += instructions
-                if aborted:
-                    stats.kernel_aborts += 1
-                    ppu_stats.kernel_aborts += 1
-                duration = (
-                    instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
-                ) * cycle_ratio
-                finish = event_time + duration
-                free.busy_until = finish
-                ppu_stats.events_executed += 1
-                ppu_stats.instructions_executed += instructions
-                ppu_stats.busy_cycles += duration
-                generated = len(prefetches)
-                ppu_stats.prefetches_generated += generated
-                stats.prefetches_generated += generated
-                self._sequence = sequence = self._sequence + 1
-                heappush(
-                    heap, (finish, sequence, _EV_PPU_DONE, (prefetches, observation))
-                )
-
-            if not drain_after:
-                continue
-            if heap and heap[0][0] <= event_time:
-                # Another event at this timestamp must process before the
-                # drain (its sequence number precedes the drain's), so the
-                # drain stays a heap event.  Pushing it here, after the
-                # dispatch, assigns the same relative order the original
-                # pre-dispatch push produced: every event already in the
-                # heap has a smaller sequence number either way.
-                self._sequence = sequence = self._sequence + 1
-                heappush(heap, (event_time, sequence, _EV_DRAIN, None))
-                continue
-            # No pending event precedes the drain, so pushing it would only
-            # make it the very next pop with nothing running in between —
-            # inline it instead (_handle_drain's loop with the locals
-            # already hoisted; sequence-relative order is unchanged).
-            while req_entries:
-                free_at = next_free(event_time)
-                if free_at > event_time:
+                    observation = obs_entries.popleft()
+                    if blocking:
+                        self._run_blocking(ppu, observation, now)
+                        continue
+                    prefetches, instructions, aborted = executors[observation.kernel_name](
+                        observation.addr,
+                        observation.line_base,
+                        observation.line_words,
+                        globals_view,
+                        lookahead,
+                    )
+                    ppu_stats = ppu.stats
+                    stats.events_executed += 1
+                    stats.ppu_instructions += instructions
+                    if aborted:
+                        stats.kernel_aborts += 1
+                        ppu_stats.kernel_aborts += 1
+                    duration = (instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * cycle_ratio
+                    finish = now + duration
+                    ppu.busy_until = finish
+                    ppu_stats.events_executed += 1
+                    ppu_stats.instructions_executed += instructions
+                    ppu_stats.busy_cycles += duration
+                    generated = len(prefetches)
+                    ppu_stats.prefetches_generated += generated
+                    stats.prefetches_generated += generated
                     self._sequence = sequence = self._sequence + 1
-                    heappush(heap, (free_at, sequence, _EV_DRAIN, None))
+                    heappush(heap, (finish, sequence, _EV_PPU_DONE, prefetches, observation))
+
+            # Only PPU-done and drain events issue requests.
+            if kind == _EV_OBSERVATION or kind == _EV_FILL or not req_entries:
+                continue
+            if kind == _EV_PPU_DONE and heap and heap[0][0] <= now:
+                # Events already due at ``now`` were scheduled first, so
+                # they run before the requests issue.
+                self._sequence = sequence = self._sequence + 1
+                heappush(heap, (now, sequence, _EV_DRAIN, None, None))
+                continue
+            next_free = hierarchy.l1_mshrs.next_free_time
+            while req_entries:
+                free_at = next_free(now)
+                if free_at > now:
+                    self._sequence = sequence = self._sequence + 1
+                    heappush(heap, (free_at, sequence, _EV_DRAIN, None, None))
                     break
                 request = req_entries.popleft()
                 stats.prefetches_issued += 1
-                addr = request.addr
-                fill_time = prefetch_access(addr, event_time)
+                fill_time = hierarchy.prefetch_access(request.addr, now)
                 if fill_time is None:
                     stats.prefetches_discarded += 1
-                    continue
-                request_tag = request.tag
-                if request_tag >= 0 and request_tag in tag_configs:
-                    interesting = True
-                else:
-                    for base, end, _entry in prefetch_entries:
-                        if base <= addr < end:
-                            filter_stats.prefetch_matches += 1
-                            interesting = True
-                            break
-                    else:
-                        interesting = request.chain_start_time is not None
-                if interesting:
+                elif address_filter.wants_fill(request):
                     self._sequence = sequence = self._sequence + 1
-                    heappush(heap, (fill_time, sequence, _EV_FILL, request))
+                    heappush(heap, (fill_time, sequence, _EV_FILL, request, None))
 
     def drain(self, until: float) -> None:
         """Run the engine past the end of the core trace (end-of-run cleanup)."""
 
         self.advance_to(until)
 
-    # ------------------------------------------------------------ observation
-
-    def _dispatch(self, time: float) -> None:
-        pending = self.observation_queue.entries
-        if not pending:
-            return
-        ppus = self.ppus
-        blocking = self.blocking
-        if self._fast_policy:
-            # The paper's lowest-free-id policy, inlined: one scan instead of
-            # a policy-object call per dispatched observation.
-            while pending:
-                for ppu in ppus:
-                    if ppu.busy_until <= time:
-                        break
-                else:
-                    return
-                observation = pending.popleft()
-                if blocking:
-                    self._run_blocking(ppu, observation, time)
-                else:
-                    self._run_event(ppu, observation, time)
-            return
-        select = self.policy.select
-        while pending:
-            ppu = select(ppus, time)
-            if ppu is None:
-                return
-            observation = pending.popleft()
-            if blocking:
-                self._run_blocking(ppu, observation, time)
-            else:
-                self._run_event(ppu, observation, time)
-
-    def _run_event(self, ppu: PPU, observation: Observation, start: float) -> None:
-        prefetches, instructions, aborted = self._executors[observation.kernel_name](
-            observation.addr,
-            observation.line_base,
-            observation.line_words,
-            self._globals_view,
-            self._lookahead_by_index,
-        )
-        stats = self.stats
-        ppu_stats = ppu.stats
-        stats.events_executed += 1
-        stats.ppu_instructions += instructions
-        if aborted:
-            stats.kernel_aborts += 1
-            ppu_stats.kernel_aborts += 1
-        # PPU.assign, inlined (one method call per event was measurable).
-        duration = (instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * self.cycle_ratio
-        finish = start + duration
-        ppu.busy_until = finish
-        ppu_stats.events_executed += 1
-        ppu_stats.instructions_executed += instructions
-        ppu_stats.busy_cycles += duration
-        generated = len(prefetches)
-        ppu_stats.prefetches_generated += generated
-        stats.prefetches_generated += generated
-        self._sequence = sequence = self._sequence + 1
-        heapq.heappush(self._heap, (finish, sequence, _EV_PPU_DONE, (prefetches, observation)))
-
-    # ------------------------------------------------------------------ drain
-
-    def _handle_drain(self, time: float) -> None:
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
-        pending = self.request_queue.entries
-        stats = self.stats
-        next_free = hierarchy.l1_mshrs.next_free_time
-        prefetch_access = hierarchy.prefetch_access
-        tag_configs = self._tag_configs
-        prefetch_entries = self._prefetch_entries
-        filter_stats = self._filter_stats
-        heap = self._heap
-        while pending:
-            free_at = next_free(time)
-            if free_at > time:
-                self._sequence = sequence = self._sequence + 1
-                heapq.heappush(heap, (free_at, sequence, _EV_DRAIN, None))
-                return
-            # _issue and _fill_is_interesting, inlined into the drain loop
-            # (two calls per issued prefetch otherwise).
-            request = pending.popleft()
-            stats.prefetches_issued += 1
-            addr = request.addr
-            fill_time = prefetch_access(addr, time)
-            if fill_time is None:
-                stats.prefetches_discarded += 1
-                continue
-            if request.tag >= 0 and request.tag in tag_configs:
-                interesting = True
-            else:
-                for base, end, _entry in prefetch_entries:
-                    if base <= addr < end:
-                        filter_stats.prefetch_matches += 1
-                        interesting = True
-                        break
-                else:
-                    interesting = request.chain_start_time is not None
-            if interesting:
-                self._sequence = sequence = self._sequence + 1
-                heapq.heappush(heap, (fill_time, sequence, _EV_FILL, request))
-
-    def _fill_is_interesting(self, request: PrefetchRequest) -> bool:
-        if request.tag >= 0 and self._tag_configs.get(request.tag) is not None:
-            return True
-        # AddressFilter.match_prefetch, inlined (runs per issued prefetch).
-        addr = request.addr
-        for base, end, _entry in self._prefetch_entries:
-            if base <= addr < end:
-                self._filter_stats.prefetch_matches += 1
-                return True
-        return request.chain_start_time is not None
-
-    # ------------------------------------------------------------------- fill
-
-    def _fill_observations(self, request: PrefetchRequest, time: float) -> list[Observation]:
-        """Apply EWMA chain updates and build the follow-on observations for a fill."""
-
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
-        observations: list[Observation] = []
-        line_words = hierarchy.read_line_words(request.addr)
-        line_base = line_address(request.addr)
-
-        tag_config: Optional[TagConfig] = (
-            self._tag_configs.get(request.tag) if request.tag >= 0 else None
-        )
-        if tag_config is not None:
-            stream = tag_config.stream or request.stream
-            chain = request.chain_start_time
-            if tag_config.chain_end and chain is not None and stream is not None:
-                self._lookaheads[stream].observe_chain(chain, time)
-                chain = None
-            observations.append(
-                Observation(
-                    _OBS_PREFETCH,
-                    request.addr,
-                    time,
-                    tag_config.kernel,
-                    line_base,
-                    line_words,
-                    stream,
-                    chain,
-                )
-            )
-
-        # AddressFilter.match_prefetch, inlined (runs per interesting fill).
-        addr = request.addr
-        matches = [
-            entry for base, end, entry in self._prefetch_entries if base <= addr < end
-        ]
-        if matches:
-            self._filter_stats.prefetch_matches += 1
-        for entry in matches:
-            stream = entry.stream or request.stream
-            chain = request.chain_start_time
-            if entry.chain_end and chain is not None and stream is not None:
-                self._lookaheads[stream].observe_chain(chain, time)
-                chain = None
-            if entry.chain_start:
-                chain = time
-            if entry.prefetch_kernel is None:
-                continue
-            observations.append(
-                Observation(
-                    _OBS_PREFETCH,
-                    request.addr,
-                    time,
-                    entry.prefetch_kernel,
-                    line_base,
-                    line_words,
-                    stream,
-                    chain,
-                )
-            )
-        return observations
-
     # --------------------------------------------------------------- blocking
 
     def _run_blocking(self, ppu: PPU, observation: Observation, start: float) -> None:
-        """Figure 11 ablation: the PPU stalls on every intermediate load."""
+        """Figure 11 ablation: the PPU stalls on every intermediate load.
+
+        Instead of scheduling a PPU-done event, the PPU issues its kernel's
+        prefetches straight into the L1, waits for each fill the filter
+        wants, and runs the kernels that fill raises itself.
+        """
 
         hierarchy = self._hierarchy
-        assert hierarchy is not None
+        address_filter = self.filter
+        stats = self.stats
+        ppu_stats = ppu.stats
         time = start
         instructions = 0
-        pending: list[Observation] = [observation]
         events = 0
-
-        while pending:
-            current = pending.pop(0)
+        pending = [observation]
+        for current in pending:  # grows while it is walked
             prefetches, executed, aborted = self._executors[current.kernel_name](
                 current.addr,
                 current.line_base,
@@ -730,44 +360,40 @@ class EventTriggeredPrefetcher:
             events += 1
             instructions += executed
             if aborted:
-                self.stats.kernel_aborts += 1
-                ppu.stats.kernel_aborts += 1
-            time += (
-                executed + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
-            ) * self.cycle_ratio
-            self.stats.prefetches_generated += len(prefetches)
-            ppu.stats.prefetches_generated += len(prefetches)
+                stats.kernel_aborts += 1
+                ppu_stats.kernel_aborts += 1
+            time += (executed + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * self.cycle_ratio
+            stats.prefetches_generated += len(prefetches)
+            ppu_stats.prefetches_generated += len(prefetches)
 
             for addr, tag in prefetches:
-                self.stats.prefetches_issued += 1
+                stats.prefetches_issued += 1
                 fill_time = hierarchy.prefetch_access(addr, time)
                 if fill_time is None:
-                    self.stats.prefetches_discarded += 1
+                    stats.prefetches_discarded += 1
                     continue
                 request = PrefetchRequest(
                     addr, tag, time, current.stream, current.chain_start_time
                 )
-                if not self._fill_is_interesting(request):
+                if not address_filter.wants_fill(request):
                     continue
                 # Blocking: wait for the data before running the next kernel.
                 time = max(time, fill_time)
-                pending.extend(self._fill_observations(request, fill_time))
-                self.stats.fills_observed += 1
+                pending.extend(
+                    address_filter.fill_observations(
+                        request, fill_time, hierarchy.read_line_words(addr), self._lookaheads
+                    )
+                )
+                stats.fills_observed += 1
 
-        self.stats.events_executed += events
-        self.stats.ppu_instructions += instructions
-        ppu.stats.events_executed += events
-        ppu.stats.instructions_executed += instructions
-        ppu.stats.busy_cycles += time - start
+        stats.events_executed += events
+        stats.ppu_instructions += instructions
+        ppu_stats.events_executed += events
+        ppu_stats.instructions_executed += instructions
+        ppu_stats.busy_cycles += time - start
         ppu.busy_until = time
 
     # ------------------------------------------------------------------ EWMAs
-
-    def _lookahead_for(self, stream: str) -> LookaheadCalculator:
-        calculator = self._lookaheads.get(stream)
-        if calculator is None:
-            raise ConfigurationError(f"stream {stream!r} was never configured")
-        return calculator
 
     def _lookahead_by_index(self, index: int) -> int:
         calculator = self._calc_by_index.get(index)
@@ -778,7 +404,10 @@ class EventTriggeredPrefetcher:
     def lookahead_distance(self, stream: str) -> int:
         """Current look-ahead distance for ``stream`` (exposed for analysis/tests)."""
 
-        return self._lookahead_for(stream).lookahead()
+        calculator = self._lookaheads.get(stream)
+        if calculator is None:
+            raise ConfigurationError(f"stream {stream!r} was never configured")
+        return calculator.lookahead()
 
     # -------------------------------------------------------------- finalising
 

@@ -47,20 +47,12 @@ class _DroppableFIFO(Generic[T]):
             return None
         return self.entries.popleft()
 
-    def peek(self) -> Optional[T]:
-        if not self.entries:
-            return None
-        return self.entries[0]
-
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    def clear(self) -> None:
-        self.entries.clear()
 
 
 class ObservationQueue(_DroppableFIFO[Observation]):

@@ -33,7 +33,7 @@ class LowestFreeIdPolicy(SchedulingPolicy):
 
     def select(self, ppus: Sequence[PPU], time: float) -> Optional[PPU]:
         for ppu in ppus:
-            if ppu.busy_until <= time:  # is_free(), sans the per-PPU call
+            if ppu.busy_until <= time:
                 return ppu
         return None
 
@@ -50,7 +50,7 @@ class RoundRobinPolicy(SchedulingPolicy):
         count = len(ppus)
         for offset in range(count):
             candidate = ppus[(self._next + offset) % count]
-            if candidate.is_free(time):
+            if candidate.busy_until <= time:
                 self._next = (candidate.ppu_id + 1) % count
                 return candidate
         return None

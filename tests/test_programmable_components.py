@@ -1,18 +1,23 @@
 """Tests for the programmable prefetcher's building blocks.
 
 Covers the EWMA calculators, droppable queues, global registers, address
-filter, PPU bookkeeping, scheduling policies and the configuration API.
+filter, PPU bookkeeping, scheduling policies and the configuration API.  The
+filter and PPU bookkeeping are observed through the engine that drives them.
 """
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
+from repro.memory.address_space import AddressSpace
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.programmable.config_api import PrefetcherConfiguration
 from repro.programmable.ewma import EWMA, MAX_LOOKAHEAD, MIN_LOOKAHEAD, LookaheadCalculator
 from repro.programmable.events import Observation, ObservationKind, PrefetchRequest
 from repro.programmable.filter import AddressFilter
 from repro.programmable.kernel import KernelBuilder
-from repro.programmable.ppu import PPU
+from repro.programmable.ppu import EVENT_DISPATCH_OVERHEAD_PPU_CYCLES, PPU
+from repro.programmable.prefetcher import EventTriggeredPrefetcher
 from repro.programmable.queues import ObservationQueue, PrefetchRequestQueue
 from repro.programmable.registers import GlobalRegisterFile
 from repro.programmable.scheduler import LowestFreeIdPolicy, RoundRobinPolicy
@@ -207,51 +212,98 @@ class TestConfigurationAPI:
         assert config.tag_by_name("t") == first
 
 
-class TestAddressFilter:
-    def _config(self):
-        config = PrefetcherConfiguration()
-        config.add_kernel(simple_kernel("on_load"))
-        config.add_kernel(simple_kernel("on_fill"))
-        config.add_stream("s")
-        config.add_range("A", 0x1000, 0x2000, load_kernel="on_load", stream="s", time_iterations=True)
-        config.add_range("B", 0x1800, 0x3000, prefetch_kernel="on_fill")
-        config.validate()
-        return config
+def filter_config():
+    """Range A triggers on loads, overlapping range B on prefetch fills.
 
+    A's load kernel prefetches 0x400 bytes past the loaded address, so a load
+    in the top of A raises a fill inside B; B's fill kernel prefetches nothing.
+    """
+
+    config = PrefetcherConfiguration()
+    on_load = KernelBuilder("on_load")
+    on_load.prefetch(on_load.add(on_load.get_vaddr(), 0x400))
+    config.add_kernel(on_load.build())
+    on_fill = KernelBuilder("on_fill")
+    on_fill.get_data()
+    config.add_kernel(on_fill.build())
+    config.add_stream("s")
+    config.add_range("A", 0x1000, 0x2000, load_kernel="on_load", stream="s", time_iterations=True)
+    config.add_range("B", 0x1800, 0x3000, prefetch_kernel="on_fill")
+    config.validate()
+    return config
+
+
+def attached_engine(config=None):
+    """An engine on a hierarchy whose memory maps 0x1000-0x4000."""
+
+    system = SystemConfig.scaled()
+    space = AddressSpace(heap_base=0x1000)
+    space.allocate_array("mapped", 0x3000 // 8)
+    hierarchy = MemoryHierarchy(system, space)
+    engine = EventTriggeredPrefetcher(system, config or filter_config())
+    engine.attach(hierarchy)
+    return engine, hierarchy
+
+
+class TestAddressFilter:
     def test_load_matching(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert [r.name for r in filt.match_load(0x1100)] == ["A"]
-        assert filt.match_load(0x4000) == []
+        engine, hierarchy = attached_engine()
+        hierarchy.demand_access(0x1100, 0.0)
+        assert engine.stats.observations_created == 1
+        hierarchy.demand_access(0x4000, 10.0)
+        assert engine.stats.observations_created == 1
+        engine.finalize(10_000.0)
+        # A's kernel ran once; its prefetch (0x1500) lies outside B.
+        assert engine.stats.events_executed == 1
+        assert engine.stats.fills_observed == 0
 
     def test_overlapping_ranges_both_match(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert len(filt.match_load(0x1900)) == 1  # B has no load kernel
-        assert len(filt.match_prefetch(0x1900)) == 1
+        engine, hierarchy = attached_engine()
+        hierarchy.demand_access(0x1900, 0.0)  # in A and B; B has no load kernel
+        assert engine.stats.observations_created == 1
+        engine.finalize(10_000.0)
+        # The prefetch of 0x1d00 returns inside B and raises B's fill kernel.
+        assert engine.stats.fills_observed == 1
+        assert engine.stats.observations_created == 2
+        assert engine.stats.events_executed == 2
+        # B matched once when the request issued and once when it filled.
+        assert engine.filter.stats.prefetch_matches == 2
 
     def test_prefetch_matching(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert [r.name for r in filt.match_prefetch(0x2800)] == ["B"]
+        engine, hierarchy = attached_engine()
+        hierarchy.demand_access(0x1c00, 0.0)
+        engine.finalize(10_000.0)
+        # The prefetch of 0x2000 lies in B only: B's fill kernel runs on it.
+        assert engine.stats.fills_observed == 1
+        assert engine.stats.events_executed == 2
 
     def test_capacity_enforced(self):
         with pytest.raises(ConfigurationError):
-            AddressFilter(self._config(), max_entries=1)
+            AddressFilter(filter_config(), max_entries=1)
 
     def test_stats_recorded(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        filt.match_load(0x1100)
-        filt.match_load(0x9000)
-        assert filt.stats.load_snoops == 2
-        assert filt.stats.load_matches == 1
+        engine, hierarchy = attached_engine()
+        hierarchy.demand_access(0x1100, 0.0)
+        hierarchy.demand_access(0x9000, 10.0)
+        assert engine.filter.stats.load_snoops == 2
+        assert engine.filter.stats.load_matches == 1
+        assert engine.stats.loads_snooped == 2
 
 
 class TestPPUAndScheduling:
     def test_ppu_busy_accounting(self):
-        ppu = PPU(0)
-        finish = ppu.assign(100.0, ppu_instructions=10, cycle_ratio=3.2)
-        assert finish == pytest.approx(100.0 + 12 * 3.2)
-        assert not ppu.is_free(finish - 1)
-        assert ppu.is_free(finish)
-        assert ppu.activity_factor(finish) > 0
+        engine, hierarchy = attached_engine()
+        hierarchy.demand_access(0x1100, 100.0)
+        engine.advance_to(10_000.0)
+        first, second = engine.ppus[:2]
+        duration = (
+            engine.stats.ppu_instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
+        ) * engine.cycle_ratio
+        assert first.stats.busy_cycles == pytest.approx(duration)
+        assert first.busy_until >= 100.0 + duration
+        assert first.stats.events_executed == 1
+        assert second.busy_until == 0.0
+        assert first.activity_factor(first.busy_until) > 0
 
     def test_activity_factor_clamped(self):
         ppu = PPU(0)
