@@ -37,6 +37,7 @@ import contextlib
 import itertools
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -776,10 +777,13 @@ def spawn_local_daemon(
 ) -> Iterator[tuple[subprocess.Popen, str]]:
     """Start ``python -m repro.service``; yield ``(process, address)``.
 
-    A context manager so the child can never be leaked: on exit — normal,
-    test failure, or an exception during startup itself — a still-running
-    daemon is killed and reaped.  A body that already shut the daemon down
-    (drain, SIGTERM) sees no interference: an exited child is only reaped.
+    A context manager so the child can never be leaked: the daemon starts
+    in its own session, and on exit — normal, test failure, or an exception
+    during startup itself — its whole process group is killed and the daemon
+    reaped.  The group kill also runs when the daemon is already dead: a
+    daemon that was SIGKILLed cannot stop its pool workers, which ignore
+    SIGTERM.  A body that already shut the daemon down (drain, SIGTERM) sees
+    no interference: its workers exited with it.
     Used by the smoke/HA tools and the fault-injection tests;
     ``trace_store`` defaults to ``"off"`` so spawning a daemon never
     touches the per-user store.  ``env`` entries are overlaid on the
@@ -804,13 +808,19 @@ def spawn_local_daemon(
         command += ["--trace-store", trace_store]
     command += list(extra_args)
     process = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env
+        command,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=child_env,
+        start_new_session=True,
     )
     try:
         yield process, _read_announcement(process, startup_timeout)
     finally:
-        if process.poll() is None:
-            process.kill()
+        # The group id is the daemon's pid, which stays reserved while any
+        # member lives or the daemon is unreaped, so kill before reaping.
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(process.pid, signal.SIGKILL)
         try:
             process.wait(timeout=30)
         except subprocess.TimeoutExpired:  # pragma: no cover - kill must reap

@@ -395,3 +395,38 @@ def test_spawn_local_daemon_kills_child_when_body_raises():
             leaked["process"] = process
             raise RuntimeError("boom")
     assert leaked["process"].poll() is not None, "daemon must be reaped on error"
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of the live (not zombie) processes in process group ``pgid``."""
+
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # After the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists process groups through /proc")
+def test_spawn_local_daemon_kills_pool_workers_of_a_sigkilled_daemon():
+    with spawn_local_daemon(workers=1) as (process, address):
+        engine = ServiceEngine(address, timeout=120.0)
+        assert not engine.run(small_plan("randacc")).failures
+        engine.close()
+        pgid = process.pid
+        assert len(_live_group_members(pgid)) >= 2, "the daemon and its pool worker"
+        os.kill(process.pid, signal.SIGKILL)
+    # SIGKILL is delivered asynchronously; give the group a moment to die.
+    deadline = time.monotonic() + 10.0
+    while _live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(pgid) == [], "a pool worker outlived its daemon"
