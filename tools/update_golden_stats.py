@@ -22,7 +22,7 @@ Only run this tool when the timing model is *intentionally* changed (a new
 feature or a deliberate model fix), never to "make the tests pass" after an
 optimisation — an optimisation that changes any number is a bug::
 
-    python tools/update_golden_stats.py          # rewrite the golden file
+    python tools/update_golden_stats.py          # rewrite both files
     python tools/update_golden_stats.py --check  # verify without writing
 """
 
@@ -154,7 +154,7 @@ def _write(path: Path, data: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
-                        help="compare against the committed file instead of writing")
+                        help="compare against the committed files instead of writing")
     parser.add_argument("--output", default=str(GOLDEN_PATH), metavar="PATH")
     args = parser.parse_args(argv)
 
