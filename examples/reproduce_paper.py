@@ -125,8 +125,6 @@ def main() -> int:
             print(f"  service backoffs: {stats.rejected}")
         if stats.failed_over:
             print(f"  failed over:      {stats.failed_over} (endpoint attempts abandoned)")
-        if stats.peer_hits:
-            print(f"  peer hits:        {stats.peer_hits} (replicated from peer daemons)")
         if stats.degraded_local:
             print(f"  degraded local:   {stats.degraded_local} (ran locally; fleet down)")
         print(f"  traces:           {stats.trace_hits} warm, {stats.trace_built} emitted "

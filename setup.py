@@ -11,11 +11,25 @@ pulls in numpy for the vectorized replay backend (see
 the interpreter backend with identical results.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    """The one version string, ``__version__`` in ``src/repro/__init__.py``."""
+
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    match = re.search(r'^__version__ = "([^"]+)"$', init.read_text(encoding="utf-8"), re.M)
+    if match is None:
+        raise RuntimeError(f"no __version__ line in {init}")
+    return match.group(1)
+
 
 setup(
     name="repro-programmable-prefetcher",
-    version="0.7.0",
+    version=read_version(),
     description=(
         "Software reproduction of an event-triggered programmable prefetcher "
         "with a cycle-approximate cache and out-of-order core model"

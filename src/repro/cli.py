@@ -11,8 +11,8 @@ Subcommands:
 
 ``repro status ADDR[,ADDR...]``
     Probe each service endpoint and print one health row per daemon
-    (reachability, protocol, uptime, queue depth, pool generation, peer
-    hits).  Exits nonzero when any endpoint is unreachable, so scripts can
+    (reachability, protocol, uptime, queue depth, pool generation, memo
+    size).  Exits nonzero when any endpoint is unreachable, so scripts can
     gate on fleet health.
 
 ``repro version``

@@ -115,9 +115,10 @@ class ServiceError(ReproError):
 class ServiceProtocolError(ServiceError):
     """A malformed message crossed the service wire protocol.
 
-    Covers undecodable lines, non-object payloads and messages whose fields
+    Covers undecodable lines, non-object payloads, messages whose fields
     cannot be mapped back onto :class:`~repro.sim.engine.SimRequest` /
-    :class:`~repro.sim.results.SimulationResult` values.
+    :class:`~repro.sim.results.SimulationResult` values, and a server that
+    announces a protocol version other than the client's.
     """
 
 

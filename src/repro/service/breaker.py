@@ -1,8 +1,7 @@
 """Per-endpoint circuit breaker: quarantine flapping daemons, probe gently.
 
 A :class:`CircuitBreaker` guards one remote endpoint (a service daemon the
-client may fail over to, or a replication peer the daemon pulls results
-from).  Instead of hammering a dead or flapping endpoint in a hot retry
+client may fail over to).  Instead of hammering a dead or flapping endpoint in a hot retry
 loop, callers ask :meth:`~CircuitBreaker.allow` before each use and report
 the outcome with :meth:`~CircuitBreaker.record_success` /
 :meth:`~CircuitBreaker.record_failure`.

@@ -14,7 +14,7 @@ Four layers, lowest to highest:
 * :class:`ServiceEngine` — the drop-in
   :class:`~repro.sim.engine.SimEngine` facade, now a **failover engine**:
   it accepts an ordered endpoint list (``ADDR,ADDR,...``), health-probes
-  endpoints for selection (protocol v3), quarantines flapping daemons
+  endpoints for selection, quarantines flapping daemons
   behind per-endpoint :class:`~repro.service.breaker.CircuitBreaker`\\ s,
   banks streamed per-digest outcomes so a daemon dying mid-plan costs only
   the unresolved remainder, and — when every endpoint is down — degrades
@@ -49,7 +49,13 @@ from ..resilience import RetryPolicy
 from ..sim.engine import BatchResult, EngineStats, SimPlan, SimRequest
 from ..sim.results import SimulationResult
 from .breaker import CircuitBreaker
-from .protocol import MAX_MESSAGE_BYTES, decode_message, encode_message, request_to_wire
+from .protocol import (
+    MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
+    decode_message,
+    encode_message,
+    request_to_wire,
+)
 
 #: Event callback: receives every server message for one submission.
 EventCallback = Callable[[dict[str, Any]], None]
@@ -147,7 +153,12 @@ class ServiceClient:
     # ------------------------------------------------------------ transport
 
     def connect(self) -> None:
-        """(Re)connect with capped, jittered backoff, then handshake."""
+        """(Re)connect with capped, jittered backoff, then handshake.
+
+        A server announcing a protocol version other than
+        :data:`~repro.service.protocol.PROTOCOL_VERSION` is refused with
+        :class:`ServiceProtocolError`; there is no negotiation.
+        """
 
         self.close()
         target = parse_address(self.address)
@@ -168,11 +179,17 @@ class ServiceClient:
             self._sock = sock
             self._file = sock.makefile("rb")
             self._send({"type": "hello", "client": self.name})
-            self.welcome = self.read_event()
-            if self.welcome.get("type") != "welcome":
+            welcome = self.read_event()
+            if welcome.get("type") != "welcome":
+                self.close()
+                raise ServiceProtocolError(f"expected welcome, got {welcome.get('type')!r}")
+            if welcome.get("protocol") != PROTOCOL_VERSION:
+                self.close()
                 raise ServiceProtocolError(
-                    f"expected welcome, got {self.welcome.get('type')!r}"
+                    f"service at {self.address!r} speaks protocol "
+                    f"{welcome.get('protocol')!r}; this client speaks {PROTOCOL_VERSION}"
                 )
+            self.welcome = welcome
             return
         raise ServiceError(
             f"could not connect to service at {self.address!r} "
@@ -196,21 +213,6 @@ class ServiceClient:
     @property
     def connected(self) -> bool:
         return self._sock is not None
-
-    @property
-    def server_protocol(self) -> int:
-        """Protocol version the server advertised in its ``welcome``.
-
-        The negotiation pivot: v3 features (health probes, streamed
-        outcomes) are only used when the server speaks v3 — against an
-        older daemon the client degrades to plain v2 behaviour.
-        """
-
-        welcome = self.welcome or {}
-        try:
-            return int(welcome.get("protocol") or 1)
-        except (TypeError, ValueError):
-            return 1
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -287,14 +289,14 @@ class ServiceClient:
         failover :class:`ServiceEngine` does, to resubmit the unresolved
         remainder to another endpoint.
 
-        A ``rejected`` answer (admission control, protocol v2) is honored
+        A ``rejected`` answer (admission control) is honored
         by sleeping at least the server's ``retry_after`` — and at least
         this client's own backoff for the attempt — then resubmitting, up
         to :attr:`rejection_limit` times.  Rejections do not consume
         connection-retry attempts: being told "later" is flow control, not
         a fault.
 
-        With ``stream=True`` (protocol v3) the server additionally emits a
+        With ``stream=True`` the server additionally emits a
         per-digest ``outcome`` event as each result lands; the events flow
         through ``on_event`` like every other message, which is how the
         failover engine banks partial progress.
@@ -369,13 +371,8 @@ class ServiceClient:
                 return
 
     def health(self) -> dict[str, Any]:
-        """One protocol-v3 ``health`` round-trip (raises against pre-v3)."""
+        """One ``health`` round-trip."""
 
-        if self.server_protocol < 3:
-            raise ServiceError(
-                f"server at {self.address!r} speaks protocol "
-                f"{self.server_protocol}; health probes need v3"
-            )
         self._send({"type": "health"})
         while True:
             event = self.read_event()
@@ -465,13 +462,11 @@ def run_plan(
         )
     remote = done.get("stats", {})
     # The daemon distinguishes its own reuse tiers (memo, disk cache, joined
-    # in-flight work, peer replication); locally they are all avoided
-    # simulations.
+    # in-flight work); locally they are all avoided simulations.
     stats.memo_hits = int(remote.get("memo_hits", 0))
     stats.cache_hits = int(remote.get("cache_hits", 0))
     stats.deduplicated += int(remote.get("joined", 0))
     stats.executed = int(remote.get("executed", 0))
-    stats.peer_hits = int(remote.get("peer_hits", 0))
 
     for request, outcome in zip(requests, outcomes):
         _absorb_outcome(batch, request, outcome)
@@ -570,8 +565,8 @@ class ServiceEngine:
         breaker refuses traffic.  A breaker in half-open (and any endpoint
         without a live connection) is validated with a health probe first:
         unreachable or draining endpoints are failed without submitting a
-        plan to them.  Pre-v3 endpoints cannot be health-probed — for them
-        a successful connection is the whole probe (clean degradation).
+        plan to them, and so are endpoints speaking another protocol
+        version.
         """
 
         from .health import probe_endpoint  # local import: health imports client
@@ -642,9 +637,9 @@ class ServiceEngine:
                 self._degrade_to_local(batch, pending)
                 break
             breaker = self.breakers[endpoint]
-            #: Outcomes streamed by THIS attempt, banked by position.
+            #: Outcomes streamed by THIS attempt, banked by position.  Each
+            #: was executed by the daemon that streamed it.
             attempt_banked: dict[str, dict[str, Any]] = {}
-            attempt_counts = {"executed": 0, "peer_hits": 0}
 
             def banking_on_event(event: dict[str, Any]) -> None:
                 kind = event.get("type")
@@ -656,12 +651,7 @@ class ServiceEngine:
                     if isinstance(outcome, dict):
                         for position in positions:
                             if isinstance(position, int) and 0 <= position < len(pending):
-                                digest = pending[position].digest
-                                if digest not in attempt_banked:
-                                    source = event.get("source")
-                                    key = "peer_hits" if source == "peer" else "executed"
-                                    attempt_counts[key] += 1
-                                attempt_banked[digest] = outcome
+                                attempt_banked[pending[position].digest] = outcome
                 if user_on_event is not None:
                     user_on_event(event)
 
@@ -671,7 +661,7 @@ class ServiceEngine:
                     pending,
                     on_event=banking_on_event,
                     deadline=self.deadline,
-                    stream=client.server_protocol >= 3,
+                    stream=True,
                 )
             except ServiceError:
                 # Connect failure, mid-plan disconnect, drain refusal:
@@ -681,8 +671,7 @@ class ServiceEngine:
                 self._drop_client(endpoint)
                 stats.failed_over += 1
                 resolved.update(attempt_banked)
-                stats.executed += attempt_counts["executed"]
-                stats.peer_hits += attempt_counts["peer_hits"]
+                stats.executed += len(attempt_banked)
                 continue
 
             breaker.record_success()
@@ -698,7 +687,6 @@ class ServiceEngine:
             stats.cache_hits += int(remote.get("cache_hits", 0))
             stats.deduplicated += int(remote.get("joined", 0))
             stats.executed += int(remote.get("executed", 0))
-            stats.peer_hits += int(remote.get("peer_hits", 0))
             for request, outcome in zip(pending, outcomes):
                 resolved[request.digest] = outcome
             break

@@ -4,17 +4,16 @@ One probe — :func:`probe_endpoint` — serves three consumers:
 
 * the failover :class:`~repro.service.client.ServiceEngine`, which gates
   endpoint selection and circuit-breaker half-open probing on it;
-* ``repro status ADDR[,ADDR...]`` (and ``tools/service_status.py``),
-  which renders one :func:`format_health_table` row per endpoint;
+* ``repro status ADDR[,ADDR...]`` (``python -m repro.cli status`` in a
+  checkout without the console script), which renders one
+  :func:`format_health_table` row per endpoint;
 * ``tools/service_smoke.py`` / ``tools/ha_smoke.py``, which assert the
   probe round-trip against live daemons.
 
 A probe is one short-lived connection: connect, ``hello``/``welcome``
-handshake, and — when the server speaks protocol v3 — one ``health``
-request.  Against an older (v2) daemon the probe degrades cleanly: the
-endpoint reports reachable with its advertised protocol and no health
-detail, never an error.  An unreachable endpoint yields ``ok=False`` with
-the failure text; probing never raises.
+handshake, and one ``health`` request.  An unreachable endpoint, or one
+speaking another protocol version, yields ``ok=False`` with the failure
+text; probing never raises.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ class EndpointHealth:
     error: Optional[str] = None
     #: Protocol version the server advertised (``None`` when unreachable).
     protocol: Optional[int] = None
-    #: ``"ok"`` / ``"draining"`` from the v3 health payload; ``"legacy"``
-    #: for a reachable pre-v3 server that cannot answer ``health``.
+    #: ``"ok"`` / ``"draining"`` from the health payload.
     status: Optional[str] = None
     uptime: Optional[float] = None
     workers: Optional[int] = None
@@ -48,9 +46,8 @@ class EndpointHealth:
     in_flight: Optional[int] = None
     pool_generation: Optional[int] = None
     memo_entries: Optional[int] = None
-    peer_hits: Optional[int] = None
     executed: Optional[int] = None
-    #: The raw v3 health payload, for consumers that want every field.
+    #: The raw health payload, for consumers that want every field.
     raw: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -81,11 +78,6 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
     except ServiceError as error:
         return EndpointHealth(address=address, ok=False, error=str(error))
     try:
-        protocol = client.server_protocol
-        if protocol < 3:
-            return EndpointHealth(
-                address=address, ok=True, protocol=protocol, status="legacy"
-            )
         payload = client.health()
     except ServiceError as error:
         return EndpointHealth(address=address, ok=False, error=str(error))
@@ -94,7 +86,7 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
     return EndpointHealth(
         address=address,
         ok=True,
-        protocol=protocol,
+        protocol=payload.get("protocol"),
         status=payload.get("status"),
         uptime=payload.get("uptime"),
         workers=payload.get("workers"),
@@ -103,7 +95,6 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
         in_flight=payload.get("in_flight"),
         pool_generation=payload.get("pool_generation"),
         memo_entries=payload.get("memo_entries"),
-        peer_hits=payload.get("peer_hits"),
         executed=payload.get("executed"),
         raw=payload,
     )
@@ -126,7 +117,7 @@ def format_health_table(reports: Sequence[EndpointHealth]) -> str:
 
     headers = (
         "ENDPOINT", "STATUS", "PROTO", "UPTIME", "WORKERS",
-        "QUEUED", "RUNNING", "INFLIGHT", "POOLGEN", "MEMO", "PEERHITS",
+        "QUEUED", "RUNNING", "INFLIGHT", "POOLGEN", "MEMO",
     )
     rows = [headers]
     for report in reports:
@@ -142,7 +133,6 @@ def format_health_table(reports: Sequence[EndpointHealth]) -> str:
             _cell(report.in_flight),
             _cell(report.pool_generation),
             _cell(report.memo_entries),
-            _cell(report.peer_hits),
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = [

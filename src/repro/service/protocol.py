@@ -2,27 +2,25 @@
 
 Every message is one JSON object per line, UTF-8 encoded.  The framing is
 deliberately primitive — any language (or ``nc``) can speak it — and every
-message carries a ``"type"`` field naming its meaning.
+message carries a ``"type"`` field naming its meaning.  There is one
+protocol version, :data:`PROTOCOL_VERSION`; the server announces it in
+``welcome`` and a client that speaks another version refuses to continue.
 
 Client → server
     ``hello``      optional handshake; answered with ``welcome``.
     ``submit``     ``{"id": <client id>, "requests": [<wire request>, ...]}``
                    plus an optional ``"deadline"`` (seconds): after that
                    budget the server fails the submission's unresolved
-                   requests instead of keeping it waiting forever.
+                   requests instead of keeping it waiting forever; and an
+                   optional ``"stream": true`` asking for ``outcome``
+                   events.
     ``stats``      global server counters; answered with ``stats``.
     ``ping``       liveness probe; answered with ``pong``.
-    ``health``     readiness probe (protocol v3); answered with ``health``:
-                   uptime, queue depth, in-flight digests, pool
-                   generation, cache/memo state, draining flag.  Clients
-                   use it for endpoint selection and circuit-breaker
-                   half-open probing.
-    ``fetch``      peer replication pull (protocol v3):
-                   ``{"digests": [...]}`` asks whether this daemon already
-                   holds results for the given content digests; answered
-                   with ``fetch-result`` carrying checksummed payloads for
-                   the hits and the list of misses.  Purely best-effort —
-                   a daemon that cannot answer is simply a miss.
+    ``health``     readiness probe; answered with ``health``: uptime,
+                   queue depth, in-flight digests, pool generation,
+                   cache/memo state, draining flag.  Clients use it for
+                   endpoint selection and circuit-breaker half-open
+                   probing.
     ``shutdown``   ask the server to drain and exit (same as SIGTERM).
 
 Server → client
@@ -35,19 +33,17 @@ Server → client
                        well-behaved client backs off at least that long and
                        resubmits (``ServiceClient.submit`` does, through
                        its :class:`~repro.resilience.RetryPolicy`).
-                       Protocol v2.
     ``chunk-started``  a chunk containing digests this submission waits on
                        began executing (carries a global ``seq`` so clients
                        can observe dispatch order).
     ``chunk-requeued`` the chunk's worker crashed and it was requeued.
     ``progress``       ``completed``/``total`` unique digests resolved.
-    ``outcome``        one resolved digest's outcome, streamed as it lands
-                       (protocol v3, only for submissions that set
-                       ``"stream": true``).  Carries the ``positions`` of
-                       the resolved requests in the submitted list and a
-                       ``source`` (``"executed"`` / ``"peer"``), so a
-                       failover client can bank partial results before a
-                       daemon dies and resubmit only what is missing.
+    ``outcome``        one executed digest's outcome, streamed as it lands
+                       (only for submissions that set ``"stream": true``).
+                       Carries the ``positions`` of the resolved requests
+                       in the submitted list, so a failover client can
+                       bank partial results before a daemon dies and
+                       resubmit only what is missing.
     ``done``           positional ``outcomes`` (aligned with the submitted
                        request list) plus per-submission statistics.
     ``error``          submission-scoped or connection-scoped failure text.
@@ -63,7 +59,6 @@ bit-identical to direct engine runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -80,15 +75,9 @@ from ..config import (
 from ..errors import ServiceProtocolError
 from ..sim.engine import SimRequest
 
-#: Protocol revision; bumped on any incompatible message change.
-#: v2 added admission control: the ``rejected`` server message and the
-#: optional ``deadline`` field on ``submit``.
-#: v3 added the HA fabric: the ``health`` readiness probe, streamed
-#: ``outcome`` events (opt-in via ``"stream": true`` on ``submit``) and
-#: the peer-replication ``fetch`` / ``fetch-result`` pair.  All v3
-#: messages are additive — a v3 client talking to a v2 server degrades
-#: cleanly to v2 behaviour (no probes, no streaming, no peer pulls).
-PROTOCOL_VERSION = 3
+#: The protocol version, bumped on any message change.  Client and server
+#: must agree exactly: there is no negotiation.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one encoded message line (and the server's readline
 #: limit).  Large sweep submissions with full nested configs stay well
@@ -114,23 +103,6 @@ def decode_message(line: bytes) -> dict[str, Any]:
             f"expected a JSON object per line, got {type(message).__name__}"
         )
     return message
-
-
-# ---------------------------------------------------------- result checksum
-
-
-def result_checksum(result_payload: dict[str, Any]) -> str:
-    """Content checksum of one result payload for peer replication.
-
-    Peers exchange results as ``SimulationResult.as_dict()`` payloads; the
-    checksum is a SHA-256 over the canonical (sorted-keys, compact) JSON
-    encoding, so a truncated or corrupted transfer — or a peer whose
-    result schema drifted — is detected and treated as a miss rather than
-    poisoning the puller's cache.
-    """
-
-    canonical = json.dumps(result_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------- request codec

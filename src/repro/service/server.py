@@ -22,7 +22,7 @@ Robustness guarantees (exercised by the fault-injection tests):
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
   chunks finish, every pending submission receives its ``done``, new
   submissions are refused, then the process exits;
-* **admission control** (protocol v2): a client whose in-flight request
+* **admission control**: a client whose in-flight request
   count would exceed ``--max-inflight``, or any submission arriving while
   the scheduler already holds ``--max-queued-chunks`` chunks, is answered
   with ``rejected`` + ``retry_after`` instead of being queued — one greedy
@@ -32,15 +32,12 @@ Robustness guarantees (exercised by the fault-injection tests):
   wait; on expiry its unresolved requests fail with a retryable label,
   its un-shared queued work is cancelled, and work shared with other
   clients (or already running) continues and warms the caches;
-* **HA fabric** (protocol v3): a ``health`` readiness probe (uptime,
-  queue depth, in-flight digests, pool generation, cache state) that
-  failover clients select endpoints by; streamed per-digest ``outcome``
-  events for submissions that opt in, so a client surviving this daemon's
-  death resubmits only the unresolved remainder elsewhere; and
-  coordinator-free **peer result replication** — with ``--peer ADDR``
-  configured, a chunk's digests are pulled from peers (digest-keyed,
-  checksummed, behind per-peer circuit breakers) before execution, so
-  warm results propagate across a fleet and a dead peer is just a miss.
+* **HA fabric**: a ``health`` readiness probe (uptime, queue depth,
+  in-flight digests, pool generation, cache state) that failover clients
+  select endpoints by, and streamed per-digest ``outcome`` events for
+  submissions that opt in, so a client surviving this daemon's death
+  resubmits only the unresolved remainder elsewhere.  Daemons share warm
+  results by pointing ``--cache`` at one directory.
 """
 
 from __future__ import annotations
@@ -54,14 +51,12 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import UNAVAILABLE, ResultCache, SimRequest
 from ..sim.engine.request import code_fingerprint
-from ..sim.results import SimulationResult
 from ..trace_store import trace_store_from_spec
-from .breaker import CircuitBreaker
 from .pool import ChunkPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
@@ -69,7 +64,6 @@ from .protocol import (
     decode_message,
     encode_message,
     request_from_wire,
-    result_checksum,
 )
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
 from .singleflight import SingleflightTable
@@ -80,10 +74,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default ``retry_after`` hint (seconds) carried on ``rejected`` messages.
 DEFAULT_RETRY_AFTER = 0.5
-
-#: Default budget (seconds) for one peer replication pull.  Deliberately
-#: tight: a slow peer must cost less than simulating locally.
-DEFAULT_PEER_TIMEOUT = 2.0
 
 
 @dataclass
@@ -112,15 +102,7 @@ class ServiceStats:
     rejected_queue: int = 0
     #: Requests failed to their submission because its deadline expired.
     expired: int = 0
-    #: Requests resolved by pulling a finished result from a ``--peer``
-    #: daemon instead of executing locally (protocol v3 replication).
-    peer_hits: int = 0
-    #: Requests asked of every configured peer and answered by none.
-    peer_misses: int = 0
-    #: Peer fetch attempts that failed outright (dead peer, bad checksum,
-    #: protocol error).  Each is also a miss for its requests.
-    peer_errors: int = 0
-    #: ``health`` probes answered (protocol v3).
+    #: ``health`` probes answered.
     health_probes: int = 0
     chunks_dispatched: int = 0
     trace_hits: int = 0
@@ -187,7 +169,7 @@ class _Submission:
     ) -> None:
         self.conn = conn
         self.sid = sid
-        #: Stream per-digest ``outcome`` events as results land (v3), so a
+        #: Stream per-digest ``outcome`` events as results land, so a
         #: failover client can bank partial progress before this daemon
         #: (or the connection) dies.
         self.stream = stream
@@ -218,7 +200,6 @@ class _Submission:
             "joined": 0,
             "scheduled": 0,
             "executed": 0,
-            "peer_hits": 0,
             "unavailable": 0,
             "failed": 0,
             "failures": {},
@@ -266,9 +247,6 @@ class ReproServer:
         max_queued_chunks: Optional[int] = None,
         request_deadline: Optional[float] = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        peers: Sequence[str] = (),
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-        protocol_version: int = PROTOCOL_VERSION,
     ) -> None:
         self.host = host
         self.port = port
@@ -286,23 +264,6 @@ class ReproServer:
         #: Default per-submission deadline when the client names none.
         self.request_deadline = request_deadline
         self.retry_after = retry_after
-        #: Ordered replication peers (``--peer ADDR``).  On a local memo
-        #: and cache miss, finished results are pulled from peers before a
-        #: chunk executes; a dead or slow peer is just a miss.
-        self.peers = [peer for peer in peers if peer]
-        self.peer_timeout = peer_timeout
-        #: Per-peer circuit breakers so a dead peer costs one timeout per
-        #: cooldown, not one per chunk.
-        self._peer_breakers = {
-            peer: CircuitBreaker(failure_threshold=1, reset_timeout=5.0)
-            for peer in self.peers
-        }
-        #: Advertised protocol revision.  Running a daemon in v2 compat
-        #: mode (``protocol_version=2``) suppresses every v3 feature —
-        #: ``health``, ``fetch`` and streamed outcomes — which is how the
-        #: negotiation regression test pins a v3 client against a v2-only
-        #: server.
-        self.protocol_version = min(protocol_version, PROTOCOL_VERSION)
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
@@ -425,16 +386,14 @@ class ReproServer:
                 {
                     "type": "welcome",
                     "server": "repro-serve",
-                    "protocol": self.protocol_version,
+                    "protocol": PROTOCOL_VERSION,
                     "code": code_fingerprint(),
                     "workers": self.pool.workers,
                 }
             )
-        elif kind == "health" and self.protocol_version >= 3:
+        elif kind == "health":
             self.stats.health_probes += 1
             conn.send(self._health_payload())
-        elif kind == "fetch" and self.protocol_version >= 3:
-            conn.send(self._handle_fetch(message))
         elif kind == "submit":
             self._handle_submit(conn, message)
         elif kind == "stats":
@@ -457,7 +416,7 @@ class ReproServer:
             conn.send({"type": "error", "message": f"unknown message type {kind!r}"})
 
     def _health_payload(self) -> dict[str, Any]:
-        """The protocol-v3 readiness snapshot clients select endpoints by."""
+        """The readiness snapshot clients select endpoints by."""
 
         uptime = (
             time.monotonic() - self._started_at if self._started_at is not None else 0.0
@@ -465,7 +424,7 @@ class ReproServer:
         return {
             "type": "health",
             "status": "draining" if self._draining else "ok",
-            "protocol": self.protocol_version,
+            "protocol": PROTOCOL_VERSION,
             "address": self.address,
             "uptime": uptime,
             "workers": self.pool.workers,
@@ -476,53 +435,12 @@ class ReproServer:
             "in_flight": len(self._flights),
             "memo_entries": len(self._memo),
             "cache_dir": str(self.cache.directory) if self.cache is not None else None,
-            "peers": list(self.peers),
             "executed": self.stats.executed,
             "memo_hits": self.stats.memo_hits,
             "cache_hits": self.stats.cache_hits,
-            "peer_hits": self.stats.peer_hits,
             "failed": self.stats.failed,
             "crashes": self.stats.crashes,
         }
-
-    def _handle_fetch(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Answer a peer's pull: checksummed results for known digests.
-
-        Only *finished* knowledge is shared — memoised / cached ``ok``
-        results and ``unavailable`` markers.  In-flight or failed digests
-        are misses: the puller executes them itself, and failures stay
-        retryable everywhere.
-        """
-
-        digests = message.get("digests")
-        if not isinstance(digests, list):
-            return {"type": "error", "message": "'digests' must be a list"}
-        found: dict[str, dict[str, Any]] = {}
-        misses: list[str] = []
-        for digest in digests:
-            if not isinstance(digest, str):
-                misses.append(str(digest))
-                continue
-            outcome = self._memo.get(digest)
-            if outcome is None and self.cache is not None:
-                cached = self.cache.get(digest)
-                if cached is UNAVAILABLE:
-                    outcome = {"status": "unavailable"}
-                elif cached is not None:
-                    outcome = {"status": "ok", "result": cached.as_dict()}
-            if outcome is None:
-                misses.append(digest)
-            elif outcome["status"] == "ok":
-                found[digest] = {
-                    "status": "ok",
-                    "result": outcome["result"],
-                    "checksum": result_checksum(outcome["result"]),
-                }
-            elif outcome["status"] == "unavailable":
-                found[digest] = {"status": "unavailable"}
-            else:
-                misses.append(digest)
-        return {"type": "fetch-result", "results": found, "misses": misses}
 
     def _disconnect(self, conn: _Connection) -> None:
         """Cancel the client's pending unique work; shared flights survive."""
@@ -571,7 +489,7 @@ class ReproServer:
             )
             return
 
-        stream = bool(message.get("stream")) and self.protocol_version >= 3
+        stream = bool(message.get("stream"))
         submission = _Submission(conn, sid, requests, stream=stream)
         conn.submissions[sid] = submission
         counts = submission.counts
@@ -763,27 +681,6 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            if self.peers and chunk.attempts == 1:
-                # Pull-through replication: before paying for execution,
-                # ask the peers whether any of them already finished these
-                # digests.  Only on the first attempt — a requeued chunk
-                # already missed once.
-                resolved = await self._fetch_from_peers(chunk.requests)
-                for digest, outcome in resolved.items():
-                    if outcome["status"] == "ok":
-                        result = SimulationResult.from_dict(outcome["result"])
-                        self._publish(digest, result, None, source="peer")
-                    else:
-                        self._publish(digest, None, None, source="peer")
-                if resolved:
-                    chunk.requests = [
-                        request
-                        for request in chunk.requests
-                        if request.digest not in resolved
-                    ]
-                if not chunk.requests:
-                    self._running.pop(chunk.id, None)
-                    return
             executed, trace_stats, batched = await self.pool.run(chunk.requests)
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
@@ -821,108 +718,7 @@ class ReproServer:
         finally:
             self._pump()
 
-    async def _fetch_from_peers(
-        self, requests: Sequence[SimRequest]
-    ) -> dict[str, dict[str, Any]]:
-        """Pull finished results for ``requests`` from the peer daemons.
-
-        Peers are consulted in order behind per-peer circuit breakers;
-        each answer is checksum-verified before it is trusted.  Every
-        failure mode — refused connection, timeout, undecodable reply,
-        checksum mismatch — degrades to a miss for the affected digests;
-        replication can make execution cheaper, never wronger.
-        """
-
-        unresolved = {request.digest for request in requests}
-        resolved: dict[str, dict[str, Any]] = {}
-        for peer in self.peers:
-            if not unresolved:
-                break
-            if peer == self.address:
-                continue  # self-referential peer config: nothing to learn
-            breaker = self._peer_breakers[peer]
-            if not breaker.allow():
-                continue
-            try:
-                reply = await asyncio.wait_for(
-                    self._peer_roundtrip(peer, sorted(unresolved)),
-                    timeout=self.peer_timeout,
-                )
-            except (OSError, asyncio.TimeoutError, ServiceProtocolError, ValueError):
-                breaker.record_failure()
-                self.stats.peer_errors += 1
-                continue
-            breaker.record_success()
-            for digest, payload in reply.items():
-                if digest not in unresolved or not isinstance(payload, dict):
-                    continue
-                status = payload.get("status")
-                if status == "ok":
-                    result_payload = payload.get("result")
-                    if (
-                        not isinstance(result_payload, dict)
-                        or payload.get("checksum") != result_checksum(result_payload)
-                    ):
-                        self.stats.peer_errors += 1
-                        continue
-                    try:
-                        SimulationResult.from_dict(result_payload)
-                    except Exception:
-                        self.stats.peer_errors += 1
-                        continue
-                elif status != "unavailable":
-                    continue
-                resolved[digest] = payload
-                unresolved.discard(digest)
-        self.stats.peer_misses += len(unresolved)
-        return resolved
-
-    async def _peer_roundtrip(
-        self, peer: str, digests: list[str]
-    ) -> dict[str, dict[str, Any]]:
-        """One ``fetch`` exchange with ``peer``; returns its results map."""
-
-        from .client import parse_address  # local import: avoids a cycle
-
-        target = parse_address(peer)
-        if isinstance(target, str):
-            reader, writer = await asyncio.open_unix_connection(
-                target, limit=MAX_MESSAGE_BYTES
-            )
-        else:
-            reader, writer = await asyncio.open_connection(
-                target[0], target[1], limit=MAX_MESSAGE_BYTES
-            )
-        try:
-            writer.write(encode_message({"type": "fetch", "digests": digests}))
-            await writer.drain()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    raise ServiceProtocolError(f"peer {peer} closed mid-fetch")
-                message = decode_message(line)
-                kind = message.get("type")
-                if kind == "fetch-result":
-                    results = message.get("results")
-                    if not isinstance(results, dict):
-                        raise ServiceProtocolError(f"peer {peer}: malformed fetch-result")
-                    return results
-                if kind == "error":
-                    raise ServiceProtocolError(
-                        f"peer {peer} rejected fetch: {message.get('message')}"
-                    )
-                # Skip unrelated chatter (a v2 peer answers nothing useful;
-                # its error message lands in the branch above).
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):  # pragma: no cover - teardown race
-                pass
-
-    def _publish(
-        self, digest: str, result, failure: Optional[str], *, source: str = "executed"
-    ) -> None:
+    def _publish(self, digest: str, result, failure: Optional[str]) -> None:
         """Fan one resolved digest out to every waiter; warm the caches."""
 
         waiters, request = self._flights.complete(digest)
@@ -933,8 +729,7 @@ class ReproServer:
                 self.cache.put(request, result)
         elif failure is None:
             outcome = {"status": "unavailable"}
-            if source != "peer":
-                self.stats.unavailable += 1
+            self.stats.unavailable += 1
             self._memo[digest] = outcome
             if self.cache is not None and request is not None:
                 self.cache.put_unavailable(request)
@@ -945,29 +740,23 @@ class ReproServer:
             outcome = {"status": "failed", "failure": failure}
             self.stats.failed += 1
             self.stats.failures[failure] = self.stats.failures.get(failure, 0) + 1
-        if source == "peer":
-            self.stats.peer_hits += 1
 
         for submission in waiters:
             counts = submission.counts
-            if source == "peer":
-                counts["peer_hits"] += 1
-            else:
-                counts["executed"] += 1
+            counts["executed"] += 1
             if outcome["status"] == "unavailable":
                 counts["unavailable"] += 1
             elif outcome["status"] == "failed":
                 counts["failed"] += 1
                 counts["failures"][failure] = counts["failures"].get(failure, 0) + 1
             if submission.stream:
-                # v3 failover clients bank these as they land, so a daemon
+                # Failover clients bank these as they land, so a daemon
                 # dying mid-plan costs only the unresolved remainder.
                 submission.conn.send(
                     {
                         "type": "outcome",
                         "id": submission.sid,
                         "positions": submission.positions.get(digest, []),
-                        "source": source,
                         "outcome": outcome,
                     }
                 )
@@ -1021,15 +810,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retry-after", type=float, default=DEFAULT_RETRY_AFTER,
                         help="backoff hint carried on rejected submissions "
                              f"(default {DEFAULT_RETRY_AFTER}s)")
-    parser.add_argument("--peer", metavar="ADDR", action="append", default=[],
-                        help="replication peer daemon (host:port or unix:/path); "
-                             "repeat or comma-separate for several — on a local "
-                             "cache miss, finished results are pulled from peers "
-                             "before executing (a dead peer is just a miss)")
-    parser.add_argument("--peer-timeout", type=float, default=DEFAULT_PEER_TIMEOUT,
-                        metavar="SECONDS",
-                        help="budget for one peer replication pull "
-                             f"(default {DEFAULT_PEER_TIMEOUT}s)")
     return parser
 
 
@@ -1047,13 +827,6 @@ async def _serve(args: argparse.Namespace) -> None:
         max_queued_chunks=args.max_queued_chunks,
         request_deadline=args.request_deadline,
         retry_after=args.retry_after,
-        peers=[
-            part.strip()
-            for value in args.peer
-            for part in value.split(",")
-            if part.strip()
-        ],
-        peer_timeout=args.peer_timeout,
     )
     await server.start()
     loop = asyncio.get_running_loop()

@@ -77,9 +77,6 @@ class EngineStats:
     #: disconnect, drain refusal) with the work handed to the next endpoint
     #: — or to local execution (set by the failover service engine).
     failed_over: int = 0
-    #: Requests a daemon satisfied by pulling finished results from a peer
-    #: daemon's memo/cache instead of executing them.
-    peer_hits: int = 0
     #: Requests executed by the local fallback engine because every service
     #: endpoint was open-circuited or unreachable.
     degraded_local: int = 0
@@ -113,7 +110,6 @@ class EngineStats:
         self.expired += other.expired
         self.rejected += other.rejected
         self.failed_over += other.failed_over
-        self.peer_hits += other.peer_hits
         self.degraded_local += other.degraded_local
         self.runner = other.runner
 
@@ -143,8 +139,6 @@ class EngineStats:
             resilience.append(f"{self.rejected} rejected+retried")
         if self.failed_over:
             resilience.append(f"{self.failed_over} failed-over")
-        if self.peer_hits:
-            resilience.append(f"{self.peer_hits} peer hits")
         if self.degraded_local:
             resilience.append(f"{self.degraded_local} degraded-to-local")
         if resilience:

@@ -1,4 +1,4 @@
-"""High-availability fabric tests: failover, health, replication, degrade.
+"""High-availability fabric tests: failover, health, protocol, degrade.
 
 All synchronisation is deterministic: protocol events, hold files and
 bounded polling of *state the daemons report* — never sleeps that assume an
@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.cli import status_main
-from repro.errors import ServiceError
+from repro.errors import ServiceError, ServiceProtocolError
 from repro.eval.report import build_engine
 from repro.service import (
     PROTOCOL_VERSION,
@@ -131,64 +131,26 @@ def test_draining_daemon_reports_not_ready_on_live_connection(svc_dir):
                         break
 
 
-# ---------------------------------------------------- protocol negotiation
+# ---------------------------------------------------------- protocol version
 
 
-def test_v3_client_degrades_cleanly_against_v2_server():
-    """Regression: a new client against an old daemon is plain v2."""
+def test_client_refuses_a_server_speaking_another_protocol(monkeypatch):
+    """One protocol, no negotiation: a version mismatch fails loudly."""
 
-    with ServerThread(workers=1, protocol_version=2) as daemon:
-        with ServiceClient(daemon.address, timeout=120.0) as client:
-            assert client.server_protocol == 2
-            # v3-only requests are refused with an error, never a hang.
-            with pytest.raises(ServiceError):
-                client.health()
-        # The probe degrades to reachability-only.
+    import repro.service.server as server_module
+
+    monkeypatch.setattr(server_module, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+    with ServerThread(workers=1) as daemon:
+        with pytest.raises(ServiceProtocolError, match="speaks protocol"):
+            ServiceClient(daemon.address, timeout=120.0)
         report = probe_endpoint(daemon.address)
-        assert report.ok and report.ready
-        assert report.status == "legacy" and report.protocol == 2
-        # Plans still run (no streaming requested, no health gating).
+        assert not report.ok and not report.ready
+        assert "speaks protocol" in report.error
+        # The failover engine treats the daemon as unusable.
         engine = ServiceEngine(daemon.address, timeout=120.0)
-        batch = engine.run(small_plan())
-        assert len(batch.results) == 2 and not batch.failures
-        assert batch.stats.executed == 2
-        engine.close()
-
-
-# --------------------------------------------------------- peer replication
-
-
-def test_peer_pull_through_replicates_instead_of_executing():
-    with ServerThread(workers=1) as upstream:
-        warm_engine = ServiceEngine(upstream.address, timeout=120.0)
-        cold = warm_engine.run(small_plan())
-        assert cold.stats.executed == 2
-        warm_engine.close()
-
-        with ServerThread(workers=1, peers=[upstream.address]) as downstream:
-            engine = ServiceEngine(downstream.address, timeout=120.0)
-            warm = engine.run(small_plan())
-            engine.close()
-            assert warm.stats.peer_hits == 2, warm.stats
-            assert warm.stats.executed == 0, "peer hits must not re-execute"
-            assert {d: r.as_dict() for d, r in warm.results.items()} == {
-                d: r.as_dict() for d, r in cold.results.items()
-            }, "replicated results must be bit-identical"
-            assert downstream.server.stats.peer_hits == 2
-            assert downstream.server.stats.executed == 0
-        # The upstream answered fetches out of its memo, executing nothing new.
-        assert upstream.server.stats.executed == 2
-
-
-def test_dead_peer_is_just_a_miss():
-    with ServerThread(workers=1, peers=[DEAD], peer_timeout=5.0) as daemon:
-        engine = ServiceEngine(daemon.address, timeout=120.0)
-        batch = engine.run(small_plan())
-        engine.close()
-        assert len(batch.results) == 2 and not batch.failures
-        assert batch.stats.executed == 2, "a dead peer must not block execution"
-        assert daemon.server.stats.peer_errors >= 1
-        assert daemon.server.stats.peer_hits == 0
+        with pytest.raises(ServiceError, match="no healthy service endpoint"):
+            engine.run(small_plan())
+        assert daemon.server.stats.submissions == 0
 
 
 # ----------------------------------------------------------------- failover

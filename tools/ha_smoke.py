@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """End-to-end smoke test of the high-availability service fabric.
 
-Spawns **two** real daemon subprocesses peered with each other
-(``--peer``, over UNIX sockets so the addresses are known before either
-daemon starts), and asserts the HA contract:
+Spawns **two** real daemon subprocesses on one ``--cache`` directory and
+asserts the HA contract:
 
 1. warming daemon A and replaying the same plan against daemon B serves
-   every request through peer replication (``peer_hits``), bit-identically
-   and without executing anything on B;
+   every request from the shared result cache (``cache_hits``),
+   bit-identically and without executing anything on B;
 2. ``repro status`` sees both daemons ready;
 3. SIGKILLing daemon A mid-plan (on the first ``chunk-started`` event —
    work is provably in flight) makes the failover client complete the plan
@@ -43,25 +42,17 @@ from repro.sim.engine import SerialRunner, SimEngine  # noqa: E402
 
 def main() -> int:
     with contextlib.ExitStack() as stack:
-        scratch = Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-ha-")
+        cache_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-ha-"))
+        process_a, addr_a = stack.enter_context(spawn_local_daemon(
+            workers=1, cache_dir=cache_dir, extra_args=["--chunk-size", "2"],
         ))
-        addr_a = f"unix:{scratch / 'a.sock'}"
-        addr_b = f"unix:{scratch / 'b.sock'}"
-        daemon_args = ["--chunk-size", "2"]
-        process_a, spawned_a = stack.enter_context(spawn_local_daemon(
-            workers=1,
-            extra_args=["--unix", addr_a[len("unix:"):], "--peer", addr_b, *daemon_args],
+        process_b, addr_b = stack.enter_context(spawn_local_daemon(
+            workers=1, cache_dir=cache_dir, extra_args=["--chunk-size", "2"],
         ))
-        process_b, spawned_b = stack.enter_context(spawn_local_daemon(
-            workers=1,
-            extra_args=["--unix", addr_b[len("unix:"):], "--peer", addr_a, *daemon_args],
-        ))
-        assert (spawned_a, spawned_b) == (addr_a, addr_b), (spawned_a, spawned_b)
         print(f"daemon A pid={process_a.pid} at {addr_a}")
         print(f"daemon B pid={process_b.pid} at {addr_b}")
 
-        # 1) Warm A, then replay against B: pure peer replication.
+        # 1) Warm A, then replay against B: served from the shared cache.
         plan = lambda: comparison_plan(["intsort"], scale="tiny")  # noqa: E731
         engine_a = ServiceEngine(addr_a, timeout=600.0)
         cold = engine_a.run(plan())
@@ -70,13 +61,13 @@ def main() -> int:
         engine_a.close()
 
         engine_b = ServiceEngine(addr_b, timeout=600.0)
-        replicated = engine_b.run(plan())
-        print(f"B replicated: {replicated.stats.summary()}")
-        assert replicated.stats.peer_hits > 0, "B must pull results from peer A"
-        assert replicated.stats.executed == 0, "B must not re-execute warm work"
-        assert {d: r.as_dict() for d, r in replicated.results.items()} == {
+        shared = engine_b.run(plan())
+        print(f"B from the shared cache: {shared.stats.summary()}")
+        assert shared.stats.cache_hits == shared.stats.unique, "B must read A's results"
+        assert shared.stats.executed == 0, "B must not re-execute warm work"
+        assert {d: r.as_dict() for d, r in shared.results.items()} == {
             d: r.as_dict() for d, r in cold.results.items()
-        }, "peer-replicated results must be bit-identical"
+        }, "shared-cache results must be bit-identical"
         engine_b.close()
 
         # 2) Both daemons ready.
