@@ -134,23 +134,50 @@ def test_draining_daemon_reports_not_ready_on_live_connection(svc_dir):
 # ---------------------------------------------------------- protocol version
 
 
-def test_client_refuses_a_server_speaking_another_protocol(monkeypatch):
-    """One protocol, no negotiation: a version mismatch fails loudly."""
+@pytest.fixture
+def other_protocol(monkeypatch):
+    """Daemons started under this fixture announce a different version."""
 
     import repro.service.server as server_module
 
     monkeypatch.setattr(server_module, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+
+
+def test_client_refuses_a_server_speaking_another_protocol(other_protocol):
+    """One protocol, no negotiation: a version mismatch fails loudly."""
+
     with ServerThread(workers=1) as daemon:
         with pytest.raises(ServiceProtocolError, match="speaks protocol"):
             ServiceClient(daemon.address, timeout=120.0)
+
+
+def test_probe_reports_a_server_speaking_another_protocol_not_ok(other_protocol):
+    with ServerThread(workers=1) as daemon:
         report = probe_endpoint(daemon.address)
         assert not report.ok and not report.ready
         assert "speaks protocol" in report.error
-        # The failover engine treats the daemon as unusable.
+
+
+def test_engine_never_submits_to_a_server_speaking_another_protocol(other_protocol):
+    """The failover engine treats the daemon as unusable."""
+
+    with ServerThread(workers=1) as daemon:
         engine = ServiceEngine(daemon.address, timeout=120.0)
         with pytest.raises(ServiceError, match="no healthy service endpoint"):
             engine.run(small_plan())
         assert daemon.server.stats.submissions == 0
+
+
+def test_removed_fetch_message_is_an_error_and_the_connection_survives():
+    """``fetch`` left the protocol with peer replication; a stray one is refused."""
+
+    with ServerThread(workers=1) as daemon:
+        with ServiceClient(daemon.address, timeout=120.0) as client:
+            client._send({"type": "fetch", "digests": ["0" * 64]})
+            reply = client.read_event()
+            assert reply["type"] == "error"
+            assert "unknown message type 'fetch'" in reply["message"]
+            client.ping()
 
 
 # ----------------------------------------------------------------- failover
