@@ -194,6 +194,54 @@ class TestHungWorkerWatchdog:
                 assert outcomes[digest][0].as_dict() == result.as_dict()
 
 
+# ------------------------------------------------------- crashed workers
+
+
+class TestCrashedWorker:
+    """A SIGKILLed runner worker costs one attempt of its own chunk only.
+
+    Three intsort requests form further chunks so the pool path (not the
+    serial fallback) executes.  ``max_attempts`` stays within the respawn
+    budget (2 x workers), so the in-parent serial tail never runs the
+    crashing build inside the test process.
+    """
+
+    def test_crash_once_is_requeued_and_bit_identical(self, svc_dir):
+        with registered_test_workloads():
+            requests = [request_for("svccrashonce", seed=441)] + [
+                intsort_request(seed=s) for s in (11, 12, 13)
+            ]
+            runner = MultiprocessRunner(workers=2, trace_store=None)
+            executed = runner.run(requests)
+            assert (svc_dir / "crashed-441").exists(), "the first attempt must have died"
+            assert runner.resilience.requeues >= 1
+            assert runner.resilience.degraded_serial == 0
+            outcomes = {digest: (result, fail) for digest, result, fail in executed}
+            assert len(outcomes) == len(requests)
+            assert all(fail is None for _, fail in outcomes.values())
+
+            # The marker now exists, so a serial run no longer crashes.
+            serial = SerialRunner(trace_store=None).run(requests)
+            for digest, result, _ in serial:
+                assert outcomes[digest][0].as_dict() == result.as_dict()
+
+    def test_crash_always_fails_with_a_label_after_max_attempts(self, svc_dir):
+        with registered_test_workloads():
+            doomed = request_for("svccrashalways", seed=442)
+            requests = [doomed] + [intsort_request(seed=s) for s in (11, 12, 13)]
+            runner = MultiprocessRunner(workers=2, trace_store=None, max_attempts=2)
+            outcomes = {
+                digest: (result, fail) for digest, result, fail in runner.run(requests)
+            }
+            result, failure = outcomes[doomed.digest]
+            assert result is None
+            assert "worker crashed" in failure and "after 2 attempts" in failure
+            assert runner.resilience.requeues == 1
+            assert runner.resilience.degraded_serial == 0
+            survivors = [fail for digest, (_, fail) in outcomes.items() if digest != doomed.digest]
+            assert survivors == [None, None, None]
+
+
 # ------------------------------------------------------------- deadlines
 
 

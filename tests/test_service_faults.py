@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
-from repro.service import ServiceClient, spawn_local_daemon
+from repro.service import ServiceClient, probe_endpoint, spawn_local_daemon
 from repro.service.protocol import request_to_wire
 from repro.sim.engine import SimRequest
 
@@ -77,7 +77,9 @@ def test_worker_crash_requeues_chunk_and_completes(svc_dir):
                 assert requeued["attempt"] == 1
                 done = read_until(client, "done", sid)
             counters = wait_for_counter(daemon.address, "crashes", 1)
+            health = probe_endpoint(daemon.address)
 
+    assert health.pool_generation >= 1, "the dead worker must have been replaced"
     (outcome,) = done["outcomes"]
     assert outcome["status"] == "ok", outcome
     assert outcome["result"]["workload"] == "svccrashonce"
