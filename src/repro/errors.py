@@ -123,12 +123,18 @@ class ServiceProtocolError(ServiceError):
 
 
 class WorkerCrashedError(ServiceError):
-    """A service pool worker died while executing a chunk.
+    """A pool worker died while executing a chunk.
 
-    Raised internally by :class:`repro.service.pool.ChunkPool`; the server
-    catches it, requeues the chunk, and only surfaces a failure label to
-    waiting clients when the chunk exhausts its retry budget.
+    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run` after it has
+    killed and replaced the worker.  Both callers catch it and requeue the
+    chunk: :class:`~repro.sim.engine.MultiprocessRunner` and the
+    ``repro serve`` daemon.  Each surfaces a failure label only when the
+    chunk exhausts its attempts.
     """
+
+
+class WorkerHungError(WorkerCrashedError):
+    """A pool worker sent no heartbeat for the pool's ``hang_timeout``."""
 
 
 class WorkloadError(ReproError):

@@ -38,7 +38,6 @@ from .client import (
     spawn_local_daemon,
 )
 from .health import EndpointHealth, format_health_table, probe_endpoint, probe_endpoints
-from .pool import ChunkPool
 from .protocol import PROTOCOL_VERSION, request_from_wire, request_to_wire
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
 from .server import DEFAULT_MAX_ATTEMPTS, ReproServer, ServiceStats
@@ -63,7 +62,6 @@ __all__ = [
     "FairScheduler",
     "Chunk",
     "split_requests",
-    "ChunkPool",
     "PROTOCOL_VERSION",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MAX_ATTEMPTS",

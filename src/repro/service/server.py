@@ -15,8 +15,10 @@ different clients round-robin under load.
 
 Robustness guarantees (exercised by the fault-injection tests):
 
-* a pool worker dying mid-chunk requeues the chunk (bounded retries, then
-  a labelled failure delivered to every waiter — nobody hangs);
+* a pool worker that dies mid-chunk, or sends no heartbeat for the
+  pool's ``hang_timeout``, is killed and replaced, and only its chunk is
+  requeued (bounded retries, then a labelled failure delivered to every
+  waiter — nobody hangs);
 * a client disconnecting mid-stream cancels its still-queued unique work,
   while singleflight work shared with other clients survives;
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
@@ -44,20 +46,22 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import itertools
 import json
 import os
 import signal
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import UNAVAILABLE, ResultCache, SimRequest
+from ..sim.engine.pool import WorkerPool
 from ..sim.engine.request import code_fingerprint
 from ..trace_store import trace_store_from_spec
-from .pool import ChunkPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
@@ -267,10 +271,10 @@ class ReproServer:
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
-        self.pool = ChunkPool(
-            workers,
-            trace_store_dir=str(store.directory) if store is not None else None,
-        )
+        self._store_dir = str(store.directory) if store is not None else None
+        self.pool = WorkerPool(workers)
+        # One thread per worker blocks in ``pool.run`` for a running chunk.
+        self._pool_threads = ThreadPoolExecutor(self.pool.workers)
         self.stats = ServiceStats()
         self._memo: dict[str, dict[str, Any]] = {}
         self._flights = SingleflightTable()
@@ -332,7 +336,8 @@ class ReproServer:
         # Let writer tasks flush their final done/error messages.
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        self.pool.shutdown()
+        self.pool.close()
+        self._pool_threads.shutdown()
 
     def _maybe_finish_drain(self) -> None:
         if (
@@ -428,7 +433,7 @@ class ReproServer:
             "address": self.address,
             "uptime": uptime,
             "workers": self.pool.workers,
-            "pool_generation": self.pool.generation,
+            "pool_generation": self.pool.replaced,
             "connections": len(self._connections),
             "queued_chunks": len(self._scheduler),
             "running_chunks": len(self._running),
@@ -681,7 +686,10 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            executed, trace_stats, batched = await self.pool.run(chunk.requests)
+            executed, trace_stats, batched = await asyncio.get_running_loop().run_in_executor(
+                self._pool_threads,
+                functools.partial(self.pool.run, chunk.requests, store_dir=self._store_dir),
+            )
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
             self.stats.crashes += 1

@@ -321,17 +321,15 @@ class SimEngine:
             deadline=Deadline.after(self.deadline),
         )
 
-        trace_stats = getattr(self.runner, "trace_stats", None)
-        if trace_stats is not None:
-            run_stats.trace_hits = trace_stats.hits
-            run_stats.trace_built = trace_stats.built
-            run_stats.trace_stored = trace_stats.stored
-        run_stats.batched = getattr(self.runner, "batched", 0)
-        resilience = getattr(self.runner, "resilience", None)
-        if resilience is not None:
-            run_stats.retried = resilience.retried
-            run_stats.requeues = resilience.requeues
-            run_stats.hung_killed = resilience.hung_killed
+        # The runner's counters describe this run only (see Runner._reset).
+        trace_stats, resilience = self.runner.trace_stats, self.runner.resilience
+        run_stats.trace_hits = trace_stats.hits
+        run_stats.trace_built = trace_stats.built
+        run_stats.trace_stored = trace_stats.stored
+        run_stats.batched = self.runner.batched
+        run_stats.retried = resilience.retried
+        run_stats.requeues = resilience.requeues
+        run_stats.hung_killed = resilience.hung_killed
         self.stats.merge(run_stats)
         return batch
 

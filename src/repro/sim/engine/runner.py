@@ -31,23 +31,19 @@ Both runners are resilience-aware (see ``docs/resilience.md``):
   remaining requests complete as labelled failures (never cached, so a
   resumed run retries exactly the expired work).
 * a :class:`~repro.resilience.RetryPolicy` retries individual failed
-  requests in place, and :class:`MultiprocessRunner` runs a heartbeat
-  watchdog over its workers: a worker that stops making progress for
-  ``hang_timeout`` seconds is killed, its chunk is requeued with bounded
-  attempts, and when the pool is exhausted the remaining chunks degrade to
-  in-parent serial execution instead of hanging the plan forever.
+  requests in place, and :class:`MultiprocessRunner` requeues the chunk of
+  a crashed or hung worker with bounded attempts.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from abc import ABC, abstractmethod
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from multiprocessing import connection as _mp_connection
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 try:  # POSIX shared memory; absent on some minimal platforms.
@@ -55,7 +51,7 @@ try:  # POSIX shared memory; absent on some minimal platforms.
 except ImportError:  # pragma: no cover - exercised via monkeypatched tests
     _shared_memory = None
 
-from ...errors import WorkloadError
+from ...errors import WorkerCrashedError, WorkerHungError, WorkloadError
 from ...resilience import Deadline, DeadlineLike, RetryPolicy
 from ...trace_store import (
     GroupResolver,
@@ -71,6 +67,7 @@ from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate, try_simulate_batch_vector
 from ..vector import vector_backend_enabled
+from .pool import WorkerPool
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -80,6 +77,7 @@ ExecutedRequest = tuple[str, Optional[SimulationResult], Optional[str]]
 
 #: Callback receiving each batch of completed requests as it finishes.
 ExecutedCallback = Callable[[Sequence[ExecutedRequest]], None]
+
 
 #: One encoded trace column set as shipped to a worker: either the raw
 #: bytes pickled inline (``("bytes", data)``) or the name and size of a
@@ -111,7 +109,6 @@ class ResilienceStats:
             before they ran.
         hung_killed: Workers killed by the heartbeat watchdog.
         requeues: Chunks requeued after their worker hung or crashed.
-        respawns: Replacement workers spawned after a kill or crash.
         degraded_serial: Chunks executed in-parent after the worker pool
             was exhausted.
     """
@@ -120,7 +117,6 @@ class ResilienceStats:
     expired: int = 0
     hung_killed: int = 0
     requeues: int = 0
-    respawns: int = 0
     degraded_serial: int = 0
 
     def merge(self, other: "ResilienceStats") -> None:
@@ -128,7 +124,6 @@ class ResilienceStats:
         self.expired += other.expired
         self.hung_killed += other.hung_killed
         self.requeues += other.requeues
-        self.respawns += other.respawns
         self.degraded_serial += other.degraded_serial
 
 
@@ -230,7 +225,6 @@ def execute_group(
     encoded: Optional[Mapping[str, bytes]] = None,
     deadline: Optional[Deadline] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
     on_executed: Optional[Callable[[ExecutedRequest], None]] = None,
     resilience: Optional[ResilienceStats] = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -247,10 +241,10 @@ def execute_group(
     The resilience hooks are all optional: once ``deadline`` expires the
     remaining requests complete as labelled failures instead of running;
     ``retry_policy`` retries each *failed* request in place (unavailable
-    modes are never retried — they are answers, not errors); ``heartbeat``
-    is called after every completed request (the parallel runner's liveness
-    signal); ``on_executed`` is called with each request as it completes;
-    ``resilience`` accumulates retry/expiry counters for the caller.
+    modes are never retried — they are answers, not errors);
+    ``on_executed`` is called with each request as it completes (a pool
+    worker's heartbeat); ``resilience`` accumulates retry/expiry counters
+    for the caller.
 
     Returns the executed requests in submission order, the trace-tier
     counters, and how many requests were satisfied by multi-configuration
@@ -263,8 +257,6 @@ def execute_group(
 
     def finish(done: ExecutedRequest) -> None:
         executed.append(done)
-        if heartbeat is not None:
-            heartbeat()
         if on_executed is not None:
             on_executed(done)
 
@@ -332,6 +324,11 @@ class Runner(ABC):
     resilience: ResilienceStats
 
     def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        """Clear the per-run counters; every :meth:`run` starts here."""
+
         self.trace_stats = TraceStoreStats()
         self.batched = 0
         self.resilience = ResilienceStats()
@@ -371,9 +368,7 @@ class SerialRunner(Runner):
         on_executed: Optional[ExecutedCallback] = None,
         deadline: DeadlineLike = None,
     ) -> list[ExecutedRequest]:
-        self.trace_stats = TraceStoreStats()
-        self.batched = 0
-        self.resilience = ResilienceStats()
+        self._reset()
         budget = Deadline.after(deadline)
         per_request = None
         if on_executed is not None:
@@ -464,82 +459,7 @@ def _attach_encoded(
     return encoded, attached
 
 
-def _execute_group_task(
-    payload: tuple[Sequence[SimRequest], Mapping[str, EncodedRef], Optional[str]]
-) -> tuple[list[ExecutedRequest], TraceStoreStats, int]:
-    """Execute one shipped chunk (also the service pool's entry point)."""
-
-    requests, refs, store_dir = payload
-    store = TraceStore(store_dir) if store_dir else None
-    encoded, attached = _attach_encoded(refs)
-    try:
-        return execute_group(requests, store=store, encoded=encoded)
-    finally:
-        encoded.clear()
-        for view, segment in attached:
-            try:
-                view.release()
-                segment.close()
-            except BufferError:  # pragma: no cover - a dangling export
-                pass  # the mapping is freed with the worker process instead
-
-
-def _watchdog_worker(conn) -> None:
-    """Worker-process loop of the watchdogged :class:`MultiprocessRunner`.
-
-    Receives ``(index, requests, refs, store_dir, retry_policy)`` task
-    tuples over its pipe and answers with ``("hb", index)`` after every
-    completed request, then ``("done", index, outcome, resilience)`` —
-    or ``("err", index, message)`` if the chunk raised something the
-    per-request machinery does not absorb.  A ``None`` task means exit.
-    """
-
-    try:
-        while True:
-            task = conn.recv()
-            if task is None:
-                return
-            index, requests, refs, store_dir, retry_policy = task
-            store = TraceStore(store_dir) if store_dir else None
-            encoded, attached = _attach_encoded(refs)
-            resilience = ResilienceStats()
-            try:
-                outcome = execute_group(
-                    requests,
-                    store=store,
-                    encoded=encoded,
-                    retry_policy=retry_policy,
-                    heartbeat=lambda: conn.send(("hb", index)),
-                    resilience=resilience,
-                )
-                conn.send(("done", index, outcome, resilience))
-            except Exception as error:  # noqa: BLE001 - forwarded to parent
-                conn.send(("err", index, f"{type(error).__name__}: {error}"))
-            finally:
-                encoded.clear()
-                for view, segment in attached:
-                    try:
-                        view.release()
-                        segment.close()
-                    except BufferError:  # pragma: no cover
-                        pass
-    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
-        return
-
-
-class _WorkerSlot:
-    """Parent-side handle on one watchdogged worker process."""
-
-    __slots__ = ("process", "conn", "task", "last_beat")
-
-    def __init__(self, process, conn, clock: Callable[[], float]) -> None:
-        self.process = process
-        self.conn = conn
-        self.task: Optional[int] = None
-        self.last_beat = clock()
-
-
-class MultiprocessRunner(Runner):
+class MultiprocessRunner(SerialRunner):
     """Farm independent request chunks across watchdogged worker processes.
 
     Each chunk ships with the compact encoded trace columns the parent
@@ -555,18 +475,15 @@ class MultiprocessRunner(Runner):
     Workload groups that dominate the plan — a Figure 9(b) sweep is dozens
     of points on one workload — are split into several chunks in proportion
     to their share of the plan, trading a few redundant artifact decodes
-    for keeping every core busy.  Falls back to serial execution when there
-    is nothing to parallelise.
+    for keeping every core busy.  Runs in-process, as the
+    :class:`SerialRunner` it extends, when there is nothing to parallelise.
 
-    The parent supervises its workers directly (pipes, not a ``Pool``):
-    every completed request is a heartbeat, and a worker silent for
-    ``hang_timeout`` seconds is killed, its chunk requeued (at most
-    ``max_attempts`` assignments per chunk) and a replacement spawned from
-    a bounded respawn budget.  A chunk that exhausts its attempts fails
-    with a label instead of hanging the plan; when every worker is gone
-    and the budget is spent, the remaining chunks run serially in-parent.
-    ``hang_timeout`` must comfortably exceed the longest *single*
-    simulation, since a worker only beats between requests.
+    Chunks run on a :class:`~repro.sim.engine.pool.WorkerPool` that lives
+    for one :meth:`run`.  The chunk of a worker that crashes or hangs for
+    ``hang_timeout`` seconds is requeued, at most ``max_attempts`` times,
+    then fails with a label.  After twice the worker count in losses each
+    further loss shrinks the fleet; chunks left when no worker remains run
+    serially in-parent.
     """
 
     label = "multiprocess"
@@ -577,13 +494,13 @@ class MultiprocessRunner(Runner):
         *,
         workloads: Optional[Mapping[str, Workload]] = None,
         trace_store=_DEFAULT_STORE,
-        hang_timeout: float = 300.0,
+        hang_timeout: float = WorkerPool.hang_timeout,
         max_attempts: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
-        respawn_limit: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        super().__init__()
+        # Pre-built workloads are reused by the in-process paths only;
+        # worker processes resolve through the trace store instead.
+        super().__init__(workloads, trace_store=trace_store, retry_policy=retry_policy)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("MultiprocessRunner needs at least one worker")
@@ -591,15 +508,8 @@ class MultiprocessRunner(Runner):
             raise ValueError("hang_timeout must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        #: Pre-built workloads reused by the in-process (serial) fallback;
-        #: worker processes resolve through the trace store instead.
-        self.workloads = workloads
-        self.trace_store = _resolve_store(trace_store)
         self.hang_timeout = hang_timeout
         self.max_attempts = max_attempts
-        self.retry_policy = retry_policy
-        self.respawn_limit = respawn_limit
-        self._clock = clock
 
     def _chunk(self, requests: Sequence[SimRequest]) -> list[list[SimRequest]]:
         total = len(requests)
@@ -646,29 +556,15 @@ class MultiprocessRunner(Runner):
         on_executed: Optional[ExecutedCallback] = None,
         deadline: DeadlineLike = None,
     ) -> list[ExecutedRequest]:
+        self._reset()
         if not requests:
-            self.trace_stats = TraceStoreStats()
-            self.resilience = ResilienceStats()
             return []
         chunks = self._chunk(requests)
-        budget = Deadline.after(deadline, clock=self._clock)
+        budget = Deadline.after(deadline)
         if self.workers == 1 or len(chunks) <= 1:
-            # Nothing to parallelise: hand the whole request set to the
-            # serial path, forwarding any pre-built workloads so the
-            # fallback does not pay a redundant workload rebuild.
-            fallback = SerialRunner(
-                workloads=self.workloads,
-                trace_store=self.trace_store,
-                retry_policy=self.retry_policy,
-            )
-            executed = fallback.run(requests, on_executed=on_executed, deadline=budget)
-            self.trace_stats = fallback.trace_stats
-            self.batched = fallback.batched
-            self.resilience = fallback.resilience
-            return executed
-        self.trace_stats = TraceStoreStats()
-        self.batched = 0
-        self.resilience = ResilienceStats()
+            # Nothing to parallelise: run in-process, where any pre-built
+            # workloads spare a redundant rebuild.
+            return super().run(requests, on_executed=on_executed, deadline=budget)
         # NOTE: ``is not None`` — TraceStore defines __len__, so an empty
         # (cold) store is falsy and a bare truthiness test would silently
         # disable worker-side persistence on exactly the runs that need it.
@@ -677,218 +573,115 @@ class MultiprocessRunner(Runner):
         )
         group_refs, segments = _share_artifacts(self._group_artifacts(requests))
         try:
-            outcomes = self._run_watchdogged(
-                chunks, group_refs, store_dir, budget, on_executed
-            )
+            return self._run_pool(chunks, group_refs, store_dir, budget, on_executed)
         finally:
             for segment in segments:
                 segment.close()
                 segment.unlink()
-        executed: list[ExecutedRequest] = []
-        for chunk_executed, chunk_stats, chunk_batched in outcomes:
-            executed.extend(chunk_executed)
-            if chunk_stats is not None:
-                self.trace_stats.merge(chunk_stats)
-            self.batched += chunk_batched
-        return executed
 
-    # ----------------------------------------------------------- watchdog
-
-    def _run_watchdogged(
+    def _run_pool(
         self,
         chunks: list[list[SimRequest]],
         group_refs: Mapping[tuple[str, str, int], Mapping[str, EncodedRef]],
         store_dir: Optional[str],
         budget: Optional[Deadline],
         on_executed: Optional[ExecutedCallback],
-    ) -> list[tuple[list[ExecutedRequest], Optional[TraceStoreStats], int]]:
-        """Supervise the worker fleet until every chunk has an outcome."""
+    ) -> list[ExecutedRequest]:
+        """Run every chunk on a :class:`WorkerPool` until each has an outcome.
 
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        clock = self._clock
-        total = len(chunks)
-        pending: deque[int] = deque(range(total))
-        attempts = [0] * total
-        # Chunk outcome: (executed, trace_stats_or_None, batched).
-        outcomes: dict[int, tuple[list[ExecutedRequest], Optional[TraceStoreStats], int]] = {}
-        fleet_size = min(self.workers, total)
-        respawns_left = (
-            self.respawn_limit if self.respawn_limit is not None else 2 * fleet_size
-        )
+        One thread per worker blocks in :meth:`WorkerPool.run`; this thread
+        keeps the books and is the only one calling ``on_executed``.
+        """
 
-        def payload_for(index: int):
-            chunk = chunks[index]
-            refs = group_refs.get(chunk[0].workload_key, {})
-            return (index, chunk, refs, store_dir, self.retry_policy)
+        pending, attempts = deque(range(len(chunks))), [0] * len(chunks)
+        outcomes: dict[int, list[ExecutedRequest]] = {}
+        capacity = min(self.workers, len(chunks))
+        respawns_left = 2 * capacity
 
-        def spawn() -> Optional[_WorkerSlot]:
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_watchdog_worker, args=(child_conn,), daemon=True
-            )
-            try:
-                process.start()
-            except OSError:  # out of processes: the serial tail handles it
-                parent_conn.close()
-                child_conn.close()
-                return None
-            child_conn.close()
-            return _WorkerSlot(process, parent_conn, clock)
-
-        def finish_chunk(
+        def finish(
             index: int,
-            outcome: tuple[list[ExecutedRequest], Optional[TraceStoreStats], int],
+            executed: list[ExecutedRequest],
+            stats: Optional[TraceStoreStats] = None,
+            batched: int = 0,
         ) -> None:
-            outcomes[index] = outcome
-            if on_executed is not None and outcome[0]:
-                on_executed(outcome[0])
+            outcomes[index] = executed
+            if stats is not None:
+                self.trace_stats.merge(stats)
+            self.batched += batched
+            if on_executed is not None and executed:
+                on_executed(executed)
 
-        def fail_chunk(index: int, reason: str) -> None:
-            executed = [
-                (
-                    request.digest,
-                    None,
-                    f"{request.workload}/{request.mode}: {reason} "
-                    f"(chunk gave up after {attempts[index]} attempts)",
-                )
-                for request in chunks[index]
-            ]
-            finish_chunk(index, (executed, None, 0))
+        def fail(index: int, reason: str) -> None:
+            label = f"{reason} (chunk gave up after {attempts[index]} attempts)"
+            chunk = chunks[index]
+            finish(index, [(r.digest, None, f"{r.workload}/{r.mode}: {label}") for r in chunk])
 
-        def requeue_or_fail(index: int, reason: str) -> None:
-            if attempts[index] >= self.max_attempts:
-                fail_chunk(index, reason)
-            else:
-                self.resilience.requeues += 1
-                pending.append(index)
+        running: dict[Future, tuple[int, ResilienceStats]] = {}
+        # The pool closes before the threads are joined, killing any worker
+        # still busy when the deadline expired.
+        with ThreadPoolExecutor(capacity) as threads, WorkerPool(
+            capacity, hang_timeout=self.hang_timeout
+        ) as pool:
+            while budget is None or not budget.expired:
+                while pending and len(running) < capacity:
+                    index = pending.popleft()
+                    attempts[index] += 1
+                    chunk, counters = chunks[index], ResilienceStats()
+                    future = threads.submit(
+                        pool.run,
+                        chunk,
+                        refs=group_refs.get(chunk[0].workload_key, {}),
+                        store_dir=store_dir,
+                        retry_policy=self.retry_policy,
+                        resilience=counters,
+                    )
+                    running[future] = (index, counters)
+                if not running:
+                    break  # all done, or no worker left: the serial tail runs the rest
+                timeout = budget.remaining() if budget is not None else None
+                for future in wait(running, timeout, FIRST_COMPLETED).done:
+                    index, counters = running.pop(future)
+                    try:
+                        outcome = future.result()
+                    except WorkerCrashedError as error:
+                        hung = isinstance(error, WorkerHungError)
+                        self.resilience.hung_killed += hung
+                        reason = "worker hung (no heartbeat)" if hung else "worker crashed"
+                        if respawns_left > 0:
+                            respawns_left -= 1
+                        else:
+                            capacity -= 1  # replacement budget spent: the fleet shrinks
+                    except Exception as error:  # noqa: BLE001 - the chunk itself raised
+                        reason = str(error)
+                    else:
+                        self.resilience.merge(counters)
+                        finish(index, *outcome)
+                        continue
+                    if attempts[index] >= self.max_attempts:
+                        fail(index, reason)
+                    else:
+                        self.resilience.requeues += 1
+                        pending.append(index)
 
-        fleet = [slot for slot in (spawn() for _ in range(fleet_size)) if slot]
-
-        def retire(slot: _WorkerSlot, reason: str) -> None:
-            """Remove a dead or hung worker, salvaging its chunk."""
-
-            nonlocal respawns_left
-            if slot.process.is_alive():
-                slot.process.kill()
-            slot.process.join()
-            slot.conn.close()
-            fleet.remove(slot)
-            if slot.task is not None:
-                requeue_or_fail(slot.task, reason)
-                slot.task = None
-            if pending and respawns_left > 0:
-                replacement = spawn()
-                if replacement is not None:
-                    respawns_left -= 1
-                    self.resilience.respawns += 1
-                    fleet.append(replacement)
-
-        def assign(slot: _WorkerSlot, index: int) -> bool:
-            attempts[index] += 1
-            slot.task = index
-            slot.last_beat = clock()
-            try:
-                slot.conn.send(payload_for(index))
-            except (OSError, ValueError):
-                # The worker died between liveness check and send; the
-                # retire path undoes the assignment bookkeeping via requeue.
-                attempts[index] -= 1
-                slot.task = None
-                pending.appendleft(index)
-                retire(slot, "worker crashed")
-                return False
-            return True
-
-        try:
-            while len(outcomes) < total:
-                if budget is not None and budget.expired:
-                    break
-                for slot in list(fleet):
-                    if slot.task is None and pending:
-                        assign(slot, pending.popleft())
-                busy = [slot for slot in fleet if slot.task is not None]
-                if not busy:
-                    if not fleet or not pending:
-                        break  # pool exhausted or nothing left: serial tail
-                    continue
-                tick = max(0.005, min(self.hang_timeout / 4.0, 0.25))
-                if budget is not None:
-                    tick = min(tick, max(0.001, budget.remaining()))
-                waitable = [slot.conn for slot in busy] + [
-                    slot.process.sentinel for slot in busy
-                ]
-                _mp_connection.wait(waitable, timeout=tick)
-                now = clock()
-                for slot in list(busy):
-                    crashed = False
-                    while slot.task is not None:
-                        try:
-                            if not slot.conn.poll():
-                                break
-                            message = slot.conn.recv()
-                        except (EOFError, OSError):
-                            crashed = True
-                            break
-                        kind = message[0]
-                        if kind == "hb":
-                            slot.last_beat = now
-                        elif kind == "done":
-                            _kind, index, outcome, worker_res = message
-                            executed, stats, batched = outcome
-                            self.resilience.merge(worker_res)
-                            finish_chunk(index, (executed, stats, batched))
-                            slot.task = None
-                        elif kind == "err":
-                            _kind, index, text = message
-                            requeue_or_fail(index, text)
-                            slot.task = None
-                    if crashed or (slot.task is not None and not slot.process.is_alive()):
-                        retire(slot, "worker crashed")
-                    elif (
-                        slot.task is not None
-                        and now - slot.last_beat > self.hang_timeout
-                    ):
-                        self.resilience.hung_killed += 1
-                        retire(slot, "worker hung (no heartbeat)")
-        finally:
-            for slot in list(fleet):
-                try:
-                    slot.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-                slot.process.join(timeout=0.5)
-                if slot.process.is_alive():
-                    slot.process.kill()
-                    slot.process.join()
-                slot.conn.close()
-
-        # Anything the fleet never finished: expired under the deadline, or
-        # left over after pool exhaustion (degrade to in-parent serial).
-        for index in range(total):
+        # Anything the pool never finished: expired under the deadline, or
+        # left when no worker remained (degrade to in-parent serial).
+        for index, chunk in enumerate(chunks):
             if index in outcomes:
                 continue
-            chunk = chunks[index]
             if budget is not None and budget.expired:
                 self.resilience.expired += len(chunk)
-                finish_chunk(
-                    index,
-                    ([_deadline_failure(r, budget) for r in chunk], None, 0),
-                )
-                continue
-            if attempts[index] >= self.max_attempts:
-                fail_chunk(index, "worker pool exhausted")
-                continue
-            self.resilience.degraded_serial += 1
-            store = TraceStore(store_dir) if store_dir else None
-            outcome = execute_group(
-                chunk,
-                self.workloads,
-                store=store,
-                deadline=budget,
-                retry_policy=self.retry_policy,
-                resilience=self.resilience,
-            )
-            finish_chunk(index, outcome)
-
-        return [outcomes[index] for index in range(total)]
+                finish(index, [_deadline_failure(r, budget) for r in chunk])
+            elif attempts[index] >= self.max_attempts:
+                fail(index, "worker pool exhausted")
+            else:
+                self.resilience.degraded_serial += 1
+                store = TraceStore(store_dir) if store_dir else None
+                finish(index, *execute_group(
+                    chunk,
+                    self.workloads,
+                    store=store,
+                    deadline=budget,
+                    retry_policy=self.retry_policy,
+                    resilience=self.resilience,
+                ))
+        return [done for index in range(len(chunks)) for done in outcomes[index]]

@@ -150,6 +150,21 @@ class TestExecution:
         assert failure is None
         assert result is not None and result.cycles > 0
 
+    def test_fully_memoised_rerun_reports_no_batched_requests(self, config):
+        # Three geometry points of one group: on two workers one chunk holds
+        # two of them, which the vector tier replays as one batch.
+        plan = SimPlan(
+            tiny_request("intsort", PrefetchMode.NONE, config.with_caches(l1={"size_bytes": size}))
+            for size in (4 * 1024, 8 * 1024, 16 * 1024)
+        )
+        engine = SimEngine(runner=MultiprocessRunner(workers=2, trace_store=None))
+        first = engine.run(plan)
+        assert first.stats.executed == 3
+        again = engine.run(plan)
+        assert again.stats.executed == 0 and again.stats.memo_hits == 3
+        assert again.stats.batched == 0
+        assert engine.stats.batched == first.stats.batched <= 3
+
     def test_unavailable_mode_is_skipped_not_raised(self, config):
         request = tiny_request("pagerank", PrefetchMode.SOFTWARE, config)
         batch = SimEngine().run(SimPlan([request]))

@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
-from repro.service import ServiceClient
+from repro.service import ServiceClient, probe_endpoint
 from repro.sim.engine import (
     DEADLINE_FAILURE_TEXT,
     MultiprocessRunner,
@@ -34,6 +34,7 @@ from repro.sim.engine import (
     SimPlan,
     SimRequest,
 )
+from repro.sim.engine.pool import WorkerPool
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
 from test_service_faults import read_until, request_for, wait_for_counter
@@ -192,6 +193,29 @@ class TestHungWorkerWatchdog:
             serial = SerialRunner(trace_store=None).run(requests)
             for digest, result, _ in serial:
                 assert outcomes[digest][0].as_dict() == result.as_dict()
+
+    def test_daemon_kills_a_hung_worker_and_requeues_its_chunk(self, svc_dir, monkeypatch):
+        monkeypatch.setattr(WorkerPool, "hang_timeout", 0.3)
+        hold = svc_dir / "hold-402"
+        hold.touch()
+        with registered_test_workloads():
+            with ServerThread(workers=1, max_attempts=10) as daemon:
+                try:
+                    with ServiceClient(daemon.address, timeout=30.0) as client:
+                        sid = client.submit_nowait([request_for("svcgate", seed=402)])
+                        read_until(client, "accepted", sid)
+                        # The gated build never heartbeats, so only the
+                        # watchdog can produce this event.
+                        requeued = read_until(client, "chunk-requeued", sid)
+                        assert "no heartbeat" in requeued["error"]
+                        hold.unlink()
+                        done = read_until(client, "done", sid)
+                    health = probe_endpoint(daemon.address)
+                finally:
+                    hold.unlink(missing_ok=True)  # lets the daemon drain on failure
+        (outcome,) = done["outcomes"]
+        assert outcome["status"] == "ok", outcome
+        assert health.pool_generation >= 1
 
 
 # ------------------------------------------------------- crashed workers
