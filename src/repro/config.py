@@ -308,10 +308,9 @@ class SystemConfig:
     ) -> "SystemConfig":
         """Return a copy with L1 and/or L2 cache fields replaced.
 
-        The mutator behind cache-geometry sweeps: configurations that differ
-        only through ``with_caches`` share everything the vector backend
-        needs to batch them into one trace pass
-        (:func:`repro.sim.simulate_batch`).
+        The mutator behind cache-geometry studies: build one engine request
+        per geometry, and the plan deduplicates, caches and parallelises
+        them like any other points.
 
         >>> half = SystemConfig.scaled().with_caches(l1={"size_bytes": 8 * 1024})
         """

@@ -731,7 +731,7 @@ class ServiceEngine:
         stats.degraded_local += len(pending)
         for attribute in (
             "memo_hits", "cache_hits", "executed", "unavailable", "failed",
-            "trace_hits", "trace_built", "trace_stored", "batched", "resumed",
+            "trace_hits", "trace_built", "trace_stored", "resumed",
             "retried", "requeues", "hung_killed", "expired",
         ):
             setattr(

@@ -3,9 +3,7 @@
 Submitted plans are divided into *chunks* — the unit the daemon hands to a
 pool worker.  Splitting reuses :meth:`~repro.sim.engine.SimPlan.workload_groups`
 so requests that replay the same traces stay together: a chunk resolves its
-workload's trace artifacts once, and configuration sweeps within a chunk
-remain eligible for the multi-configuration vector batch path
-(:func:`~repro.sim.system.try_simulate_batch_vector`).  Groups larger than
+workload's trace artifacts once for every request it holds.  Groups larger than
 ``chunk_size`` are sliced — the work-splitting heuristic from the
 parallel-instantiation literature (Perri et al., arXiv:1110.1015): bound
 each unit of work so one giant submission cannot monopolise a worker for
@@ -29,7 +27,8 @@ from typing import Hashable, Iterable, Optional, Sequence
 from ..sim.engine import SimPlan, SimRequest
 
 #: Default upper bound on requests per chunk.  A full figure-7 mode set for
-#: one workload (~10 points) stays whole; figure-9-style sweeps split.
+#: one workload (~10 points) stays whole and resolves its traces once;
+#: figure-9-style sweeps split across workers.
 DEFAULT_CHUNK_SIZE = 16
 
 _chunk_ids = itertools.count(1)

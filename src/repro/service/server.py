@@ -112,7 +112,6 @@ class ServiceStats:
     trace_hits: int = 0
     trace_built: int = 0
     trace_stored: int = 0
-    batched: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         data = self.__dict__.copy()
@@ -686,7 +685,7 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            executed, trace_stats, batched = await asyncio.get_running_loop().run_in_executor(
+            executed, trace_stats = await asyncio.get_running_loop().run_in_executor(
                 self._pool_threads,
                 functools.partial(self.pool.run, chunk.requests, store_dir=self._store_dir),
             )
@@ -720,7 +719,6 @@ class ReproServer:
             self.stats.trace_hits += trace_stats.hits
             self.stats.trace_built += trace_stats.built
             self.stats.trace_stored += trace_stats.stored
-            self.stats.batched += batched
             for digest, result, failure in executed:
                 self._publish(digest, result, failure)
         finally:

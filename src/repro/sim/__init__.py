@@ -20,12 +20,8 @@ from .engine import (
 )
 from .modes import PrefetchMode, mode_available
 from .results import SimulationResult
-from .system import simulate, simulate_batch
-from .sweeps import (
-    cache_geometry_sweep,
-    ppu_count_frequency_sweep,
-    ppu_frequency_sweep,
-)
+from .system import simulate
+from .sweeps import ppu_count_frequency_sweep, ppu_frequency_sweep
 from .vector import vector_backend_enabled
 
 __all__ = [
@@ -33,9 +29,7 @@ __all__ = [
     "mode_available",
     "SimulationResult",
     "simulate",
-    "simulate_batch",
     "vector_backend_enabled",
-    "cache_geometry_sweep",
     "run_comparison",
     "comparison_plan",
     "ComparisonResult",

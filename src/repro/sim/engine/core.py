@@ -53,10 +53,6 @@ class EngineStats:
     trace_hits: int = 0
     trace_built: int = 0
     trace_stored: int = 0
-    #: Requests satisfied by multi-configuration vector batches — several
-    #: cache geometries replayed over one pass of a shared trace — rather
-    #: than by individual simulations.
-    batched: int = 0
     #: Requests a ``resume`` run satisfied from a prior run's checkpoint
     #: manifest (via the cache, or the manifest's unavailable marker)
     #: instead of re-executing them.
@@ -102,7 +98,6 @@ class EngineStats:
         self.trace_hits += other.trace_hits
         self.trace_built += other.trace_built
         self.trace_stored += other.trace_stored
-        self.batched += other.batched
         self.resumed += other.resumed
         self.retried += other.retried
         self.requeues += other.requeues
@@ -122,8 +117,6 @@ class EngineStats:
         )
         if self.trace_hits or self.trace_built:
             text += f"; traces: {self.trace_hits} warm, {self.trace_built} emitted"
-        if self.batched:
-            text += f"; {self.batched} vector-batched"
         resilience = []
         if self.resumed:
             resilience.append(f"{self.resumed} resumed")
@@ -326,7 +319,6 @@ class SimEngine:
         run_stats.trace_hits = trace_stats.hits
         run_stats.trace_built = trace_stats.built
         run_stats.trace_stored = trace_stats.stored
-        run_stats.batched = self.runner.batched
         run_stats.retried = resilience.retried
         run_stats.requeues = resilience.requeues
         run_stats.hung_killed = resilience.hung_killed

@@ -172,7 +172,7 @@ class WorkerPool:
     ):
         """Execute one chunk on an idle worker.
 
-        Returns ``(executed, trace_stats, batched)`` as
+        Returns ``(executed, trace_stats)`` as
         :func:`~repro.sim.engine.runner.execute_group` does.  ``refs`` are
         the chunk's shipped encoded trace columns, ``store_dir`` the shared
         trace store, and ``retry_policy`` applies per request inside the

@@ -65,8 +65,7 @@ from ...trace_store import (
 from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
-from ..system import simulate, try_simulate_batch_vector
-from ..vector import vector_backend_enabled
+from ..system import simulate
 from .pool import WorkerPool
 from .request import SimRequest, resolve_policy
 
@@ -174,49 +173,6 @@ def _deadline_failure(request: SimRequest, deadline: Deadline) -> ExecutedReques
     )
 
 
-def _execute_vector_batches(
-    requests: Sequence[SimRequest], resolver: GroupResolver
-) -> dict[int, ExecutedRequest]:
-    """Pre-execute the multi-configuration vector batches of one group.
-
-    Requests of one workload group that differ only in system configuration
-    (same mode, same policy, non-programmable) are exactly what
-    :func:`~repro.sim.system.try_simulate_batch_vector` consumes: a Figure
-    9-style geometry sweep submitted as N engine requests becomes one trace
-    pass with N replay lanes.  Returns completed results keyed by position
-    in ``requests``; anything not covered — single-request modes, batches
-    the backend declined, resolution failures — falls through untouched to
-    the per-request path, which also owns failure labelling.
-    """
-
-    prebatched: dict[int, ExecutedRequest] = {}
-    if not vector_backend_enabled():
-        return prebatched
-    batches: dict[tuple[str, Optional[str]], list[int]] = {}
-    for index, request in enumerate(requests):
-        if not request.prefetch_mode.uses_programmable_prefetcher:
-            batches.setdefault((request.mode, request.policy), []).append(index)
-    for (_mode_value, policy_name), indices in batches.items():
-        if len(indices) < 2:
-            continue
-        mode = requests[indices[0]].prefetch_mode
-        try:
-            workload = resolver.workload_for_mode(mode)
-            results = try_simulate_batch_vector(
-                workload,
-                mode,
-                [requests[index].config for index in indices],
-                policy=resolve_policy(policy_name),
-            )
-        except WorkloadError:
-            continue  # per-request execution reports the proper label
-        if results is None:
-            continue
-        for index, result in zip(indices, results):
-            prebatched[index] = (requests[index].digest, result, None)
-    return prebatched
-
-
 def execute_group(
     requests: Sequence[SimRequest],
     workloads: Optional[Mapping[str, Workload]] = None,
@@ -228,7 +184,7 @@ def execute_group(
     on_executed: Optional[Callable[[ExecutedRequest], None]] = None,
     resilience: Optional[ResilienceStats] = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> tuple[list[ExecutedRequest], TraceStoreStats, int]:
+) -> tuple[list[ExecutedRequest], TraceStoreStats]:
     """Execute one workload group, resolving its trace artifacts up front.
 
     ``workloads`` may supply pre-built objects keyed by workload name; one
@@ -246,14 +202,12 @@ def execute_group(
     worker's heartbeat); ``resilience`` accumulates retry/expiry counters
     for the caller.
 
-    Returns the executed requests in submission order, the trace-tier
-    counters, and how many requests were satisfied by multi-configuration
-    vector batches rather than individual simulations.
+    Returns the executed requests in submission order and the trace-tier
+    counters.
     """
 
     executed: list[ExecutedRequest] = []
     stats = TraceStoreStats()
-    batched = 0
 
     def finish(done: ExecutedRequest) -> None:
         executed.append(done)
@@ -278,33 +232,28 @@ def execute_group(
             prebuilt=(workloads or {}).get(first.workload),
             encoded=encoded if first.workload_key == requests[0].workload_key else None,
         )
-        prebatched = _execute_vector_batches(group, resolver)
-        batched += len(prebatched)
-        for index, request in enumerate(group):
-            done = prebatched.get(index)
-            if done is None:
-                if deadline is not None and deadline.expired:
+        for request in group:
+            if deadline is not None and deadline.expired:
+                if resilience is not None:
+                    resilience.expired += 1
+                finish(_deadline_failure(request, deadline))
+                continue
+            workload = resolver.workload_for_mode(request.prefetch_mode)
+            result, failure = execute_request(request, workload)
+            if failure is not None and retry_policy is not None:
+                for attempt in range(retry_policy.retries):
+                    if deadline is not None and deadline.expired:
+                        break
+                    sleep(retry_policy.delay(attempt))
                     if resilience is not None:
-                        resilience.expired += 1
-                    done = _deadline_failure(request, deadline)
-                else:
-                    workload = resolver.workload_for_mode(request.prefetch_mode)
+                        resilience.retried += 1
                     result, failure = execute_request(request, workload)
-                    if failure is not None and retry_policy is not None:
-                        for attempt in range(retry_policy.retries):
-                            if deadline is not None and deadline.expired:
-                                break
-                            sleep(retry_policy.delay(attempt))
-                            if resilience is not None:
-                                resilience.retried += 1
-                            result, failure = execute_request(request, workload)
-                            if failure is None:
-                                break
-                    done = (request.digest, result, failure)
-            finish(done)
+                    if failure is None:
+                        break
+            finish((request.digest, result, failure))
         resolver.persist(variants_needed([r.prefetch_mode for r in group]))
         stats.merge(resolver.stats)
-    return executed, stats, batched
+    return executed, stats
 
 
 class Runner(ABC):
@@ -316,10 +265,6 @@ class Runner(ABC):
     #: Trace-artifact resolution counters of the most recent :meth:`run`.
     trace_stats: TraceStoreStats
 
-    #: Requests of the most recent :meth:`run` satisfied by multi-config
-    #: vector batches (see :func:`execute_group`).
-    batched: int
-
     #: Retry/watchdog/deadline counters of the most recent :meth:`run`.
     resilience: ResilienceStats
 
@@ -330,7 +275,6 @@ class Runner(ABC):
         """Clear the per-run counters; every :meth:`run` starts here."""
 
         self.trace_stats = TraceStoreStats()
-        self.batched = 0
         self.resilience = ResilienceStats()
 
     @abstractmethod
@@ -375,7 +319,7 @@ class SerialRunner(Runner):
             per_request = lambda done: on_executed([done])  # noqa: E731
         executed: list[ExecutedRequest] = []
         for group in group_requests(requests):
-            chunk, stats, batched = execute_group(
+            chunk, stats = execute_group(
                 group,
                 self.workloads,
                 store=self.trace_store,
@@ -386,7 +330,6 @@ class SerialRunner(Runner):
             )
             executed.extend(chunk)
             self.trace_stats.merge(stats)
-            self.batched += batched
         return executed
 
 
@@ -602,12 +545,10 @@ class MultiprocessRunner(SerialRunner):
             index: int,
             executed: list[ExecutedRequest],
             stats: Optional[TraceStoreStats] = None,
-            batched: int = 0,
         ) -> None:
             outcomes[index] = executed
             if stats is not None:
                 self.trace_stats.merge(stats)
-            self.batched += batched
             if on_executed is not None and executed:
                 on_executed(executed)
 

@@ -3,8 +3,8 @@
 The package replays :class:`~repro.cpu.trace.Trace` columns through the
 memory hierarchy with chunked numpy precomputation
 (:mod:`~repro.sim.vector.columns`) feeding a fused, bit-identical state
-machine (:mod:`~repro.sim.vector.replay`), and can drive N cache-geometry
-lanes over one trace pass (:func:`replay_trace_batch`).
+machine (:mod:`~repro.sim.vector.replay`), one request at a time
+(:func:`replay_trace`).
 
 Backend selection mirrors the kernel compiler's environment switch: the
 vector backend is on by default whenever numpy is importable, and
@@ -12,7 +12,7 @@ vector backend is on by default whenever numpy is importable, and
 the interpreter.  ``REPRO_REPLAY_BACKEND=vector`` states the default
 explicitly — useful in CI matrices.  When numpy is missing, or a specific
 request falls outside the supported envelope (programmable modes,
-non-power-of-two line sizes, mismatched lane geometry), the caller falls
+non-power-of-two line sizes, L1/L2 line-size mismatch), the caller falls
 back to the interpreter silently: the backend changes wall-clock time, never
 results, and the golden-stats suite pins that equivalence.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 
 from .columns import CHUNK_OPS, TraceColumnPlan, numpy_available
-from .replay import replay_trace, replay_trace_batch
+from .replay import replay_trace
 
 #: Environment variable selecting the replay backend per request.
 BACKEND_ENV_VAR = "REPRO_REPLAY_BACKEND"
@@ -52,6 +52,5 @@ __all__ = [
     "TraceColumnPlan",
     "numpy_available",
     "replay_trace",
-    "replay_trace_batch",
     "vector_backend_enabled",
 ]

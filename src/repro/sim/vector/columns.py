@@ -3,8 +3,8 @@
 The vectorized replay backend consumes a :class:`~repro.cpu.trace.Trace`
 through this module: the five flat ``array`` columns are adopted zero-copy as
 numpy views (``np.frombuffer`` over the backing buffers), and every per-op
-quantity that is a *pure function of the op* — the cache-line index, the
-L1 set index and tag, the TLB page number, the front-end fetch increment,
+quantity that is a *pure function of the op* — the L1 set index and tag,
+the TLB page number, the front-end fetch increment,
 the per-op dependence span — is computed for a whole chunk at once with
 vectorized integer arithmetic (``(addrs >> shift) & mask`` over the chunk)
 instead of once per op in interpreted Python.
@@ -67,19 +67,18 @@ class ChunkColumns(NamedTuple):
     dep_values: list
     #: TLB page number of every op's address.
     pages: list
-    #: Cache-line index (``addr >> line_shift``) as an ndarray for per-lane
-    #: set/tag derivation.  Never materialised as a list: the replay loop
-    #: reassembles a line index from set/tag on the rare cache miss.
-    lines_np: "object"
+    #: L1 set index and tag of every op's address.  The cache-line index is
+    #: not a column: the replay loop reassembles it from set/tag on the rare
+    #: cache miss.
+    sets: list
+    tags: list
 
 
 class TraceColumnPlan:
     """Zero-copy numpy views over a trace plus chunked derived columns.
 
-    One plan serves any number of replay lanes: the chunk columns above are
-    lane-independent, and per-lane L1 set/tag columns are derived from the
-    shared ``lines_np`` view with two vectorized ops per (chunk, lane) via
-    :meth:`lane_set_tag`.
+    The plan is specialised to one L1 geometry: ``line_shift`` and the
+    ``set_mask``/``set_shift`` pair that splits a line index into set and tag.
     """
 
     def __init__(
@@ -88,6 +87,8 @@ class TraceColumnPlan:
         *,
         page_bytes: int,
         line_shift: int,
+        set_mask: int,
+        set_shift: int,
         issue_width: int,
         chunk_ops: int = CHUNK_OPS,
     ) -> None:
@@ -115,6 +116,8 @@ class TraceColumnPlan:
             raise VectorBackendUnsupported("trace contains negative instruction counts")
         self._issue_width = issue_width
         self._line_shift = line_shift
+        self._set_mask = set_mask
+        self._set_shift = set_shift
         self._page_shift = (
             page_bytes.bit_length() - 1 if page_bytes & (page_bytes - 1) == 0 else None
         )
@@ -148,6 +151,8 @@ class TraceColumnPlan:
         np = _np
         issue_width = self._issue_width
         line_shift = self._line_shift
+        set_mask = self._set_mask
+        set_shift = self._set_shift
         page_shift = self._page_shift
         dep_offsets = self._dep_offsets
         for start in range(0, self.n, self._chunk_ops):
@@ -173,19 +178,6 @@ class TraceColumnPlan:
                 dep_ends=(dep_offsets[start + 1 : end + 1] - dep_lo).tolist(),
                 dep_values=self._dep_values[dep_lo:dep_hi].tolist(),
                 pages=pages_np.tolist(),
-                lines_np=lines_np,
+                sets=(lines_np & set_mask).tolist(),
+                tags=(lines_np >> set_shift).tolist(),
             )
-
-    @staticmethod
-    def lane_set_tag(chunk: ChunkColumns, set_mask: int, set_shift: int) -> tuple[list, list]:
-        """Per-lane L1 ``(set index, tag)`` columns for one chunk.
-
-        This is the batched tag/set extraction: one ``&`` and one ``>>``
-        over the whole chunk per lane, shared-input, no per-op Python
-        arithmetic.  Lanes with different cache geometries differ only in
-        ``set_mask``/``set_shift``, so N geometry lanes cost N×2 vector ops
-        per chunk over a single pass of the trace columns.
-        """
-
-        lines_np = chunk.lines_np
-        return (lines_np & set_mask).tolist(), (lines_np >> set_shift).tolist()

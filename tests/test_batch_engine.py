@@ -150,20 +150,25 @@ class TestExecution:
         assert failure is None
         assert result is not None and result.cycles > 0
 
-    def test_fully_memoised_rerun_reports_no_batched_requests(self, config):
-        # Three geometry points of one group: on two workers one chunk holds
-        # two of them, which the vector tier replays as one batch.
+    def test_fully_memoised_rerun_resets_the_per_run_counters(self, config, tmp_path):
+        from repro.trace_store import TraceStore
+
+        # The first run emits and stores the group's trace; the re-run is
+        # served entirely from the memo, so none of the runner's counters
+        # from the first run may leak into it or into the lifetime totals.
         plan = SimPlan(
             tiny_request("intsort", PrefetchMode.NONE, config.with_caches(l1={"size_bytes": size}))
             for size in (4 * 1024, 8 * 1024, 16 * 1024)
         )
-        engine = SimEngine(runner=MultiprocessRunner(workers=2, trace_store=None))
+        engine = SimEngine(runner=MultiprocessRunner(workers=2, trace_store=TraceStore(tmp_path)))
         first = engine.run(plan)
         assert first.stats.executed == 3
+        assert first.stats.trace_built + first.stats.trace_stored > 0
         again = engine.run(plan)
         assert again.stats.executed == 0 and again.stats.memo_hits == 3
-        assert again.stats.batched == 0
-        assert engine.stats.batched == first.stats.batched <= 3
+        for counter in ("trace_hits", "trace_built", "trace_stored", "retried", "requeues"):
+            assert getattr(again.stats, counter) == 0, counter
+            assert getattr(engine.stats, counter) == getattr(first.stats, counter), counter
 
     def test_unavailable_mode_is_skipped_not_raised(self, config):
         request = tiny_request("pagerank", PrefetchMode.SOFTWARE, config)

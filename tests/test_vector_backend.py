@@ -1,15 +1,15 @@
-"""Tests for the vectorized replay backend and multi-config batching.
+"""Tests for the vectorized replay backend.
 
 Three layers of evidence that the backend is a pure wall-clock change:
 
 1. a *differential harness* — hypothesis-generated op sequences replayed
-   through both backends over identical hierarchies must produce identical
-   core and hierarchy statistics, floats included;
+   through both backends over identical hierarchies, on the default and on
+   three other cache geometries, must produce identical core and hierarchy
+   statistics, floats included;
 2. the *golden fingerprints* — every non-programmable golden entry must be
    reproduced bit-for-bit with the vector backend forced on;
-3. *batch parity* — N cache geometries replayed over one trace pass must
-   equal N independent simulations, through every entry point (``simulate_batch``,
-   ``cache_geometry_sweep``, engine requests).
+3. *geometry requests* — engine requests that differ only in cache geometry
+   must equal direct simulations.
 """
 
 import json
@@ -32,16 +32,13 @@ from repro.sim import (
     SimEngine,
     SimPlan,
     SimRequest,
-    cache_geometry_sweep,
     mode_available,
     simulate,
-    simulate_batch,
     vector_backend_enabled,
 )
-from repro.sim.system import try_simulate_batch_vector
 from repro.sim.vector import BACKEND_ENV_VAR, TraceColumnPlan
 from repro.sim.vector import columns as vector_columns
-from repro.sim.vector.replay import replay_trace, replay_trace_batch
+from repro.sim.vector.replay import replay_trace
 from repro.workloads import registry
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_stats.json"
@@ -88,7 +85,9 @@ class TestBackendSelection:
         monkeypatch.setattr(vector_columns, "_np", None)
         trace = TraceBuilder().build()
         with pytest.raises(VectorBackendUnsupported):
-            TraceColumnPlan(trace, page_bytes=4096, line_shift=6, issue_width=3)
+            TraceColumnPlan(
+                trace, page_bytes=4096, line_shift=6, set_mask=63, set_shift=6, issue_width=3
+            )
 
 
 class TestLaneSupport:
@@ -102,6 +101,18 @@ class TestLaneSupport:
         engine.attach(hierarchy)
         with pytest.raises(VectorBackendUnsupported):
             replay_trace(workload.trace("plain"), hierarchy, config.core)
+
+    def test_l1_l2_line_size_mismatch_is_rejected(self, tiny_workloads, config, monkeypatch):
+        mismatched = config.with_caches(l2={"line_bytes": 128})
+        workload = tiny_workloads.get("intsort")
+        workload.build()
+        hierarchy = MemoryHierarchy(mismatched, workload.space)
+        with pytest.raises(VectorBackendUnsupported):
+            replay_trace(workload.trace("plain"), hierarchy, mismatched.core)
+        # simulate() falls back to the interpreter with identical results.
+        vector = simulate(workload, PrefetchMode.NONE, mismatched)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        assert vector.as_dict() == simulate(workload, PrefetchMode.NONE, mismatched).as_dict()
 
     def test_negative_addresses_are_rejected(self, config):
         builder = TraceBuilder()
@@ -124,10 +135,22 @@ class TestLaneSupport:
         assert stats.dram["demand_accesses"] == 0
 
 
+#: Addresses confined to two line slots of 32 page-sized blocks.  Every
+#: tested L1 and L2 way size is a multiple of 4 KB, so these lines fall into
+#: at most eight sets of any geometry: short traces then evict from both
+#: levels and hit in L2 after an L1 eviction, and a wrong set/tag split for
+#: the geometry changes the outcome.
+_CONFLICTING_ADDR = st.builds(
+    lambda block, slot, offset: block * 4096 + slot * 64 + offset,
+    st.integers(min_value=0, max_value=31),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=56),
+)
+
 # One generated op: (kind, raw address, compute size, raw dependence seeds).
 _OP = st.tuples(
     st.sampled_from(["load", "store", "compute", "branch", "swpf"]),
-    st.integers(min_value=0, max_value=(1 << 16) - 8),
+    st.one_of(st.integers(min_value=0, max_value=(1 << 16) - 8), _CONFLICTING_ADDR),
     st.integers(min_value=1, max_value=4),
     st.lists(st.integers(min_value=0, max_value=1 << 30), max_size=2),
 )
@@ -152,6 +175,19 @@ def _build_trace(ops):
     return builder.build()
 
 
+GEOMETRIES = [
+    {"l1": {"size_bytes": 8 * 1024}},
+    {"l1": {"size_bytes": 32 * 1024}},
+    {"l1": {"size_bytes": 16 * 1024, "associativity": 4}, "l2": {"size_bytes": 128 * 1024}},
+]
+
+#: The default configuration plus three other cache geometries.
+HARNESS_CONFIGS = [SystemConfig.scaled()] + [
+    SystemConfig.scaled().with_caches(**geometry) for geometry in GEOMETRIES
+]
+HARNESS_IDS = ["default", "l1-8k", "l1-32k", "l1-4way-l2-128k"]
+
+
 def _run_both(trace, config, *, with_stride):
     """Replay ``trace`` through interpreter and vector backends."""
 
@@ -174,10 +210,10 @@ def _run_both(trace, config, *, with_stride):
 class TestDifferentialHarness:
     """Random op sequences must replay identically through both backends."""
 
+    @pytest.mark.parametrize("config", HARNESS_CONFIGS, ids=HARNESS_IDS)
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_OP, max_size=120))
-    def test_pure_lane_matches_interpreter(self, ops):
-        config = SystemConfig.scaled()
+    def test_pure_lane_matches_interpreter(self, config, ops):
         trace = _build_trace(ops)
         (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
             trace, config, with_stride=False
@@ -185,12 +221,12 @@ class TestDifferentialHarness:
         assert vector_core == interp_core
         assert vector_hier == interp_hier
 
+    @pytest.mark.parametrize("config", HARNESS_CONFIGS, ids=HARNESS_IDS)
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_OP, max_size=120))
-    def test_snooped_lane_matches_interpreter(self, ops):
+    def test_snooped_lane_matches_interpreter(self, config, ops):
         # A stride prefetcher installs a demand snoop, driving the shared
         # (attribute-backed) loop variant plus the prefetch interactions.
-        config = SystemConfig.scaled()
         trace = _build_trace(ops)
         (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
             trace, config, with_stride=True
@@ -223,72 +259,12 @@ class TestGoldenParity:
         assert checked > 0
 
 
-GEOMETRIES = [
-    {"l1": {"size_bytes": 8 * 1024}},
-    {"l1": {"size_bytes": 32 * 1024}},
-    {"l1": {"size_bytes": 16 * 1024, "associativity": 4}, "l2": {"size_bytes": 128 * 1024}},
-]
-
-
-class TestMultiConfigBatching:
-    def _configs(self, config):
-        return [config.with_caches(**geometry) for geometry in GEOMETRIES]
-
-    @pytest.mark.parametrize("mode", [PrefetchMode.NONE, PrefetchMode.STRIDE])
-    def test_batch_matches_serial_simulations(self, tiny_workloads, config, mode):
-        workload = tiny_workloads.get("intsort")
-        configs = self._configs(config)
-        batched = simulate_batch(workload, mode, configs)
-        assert len(batched) == len(configs)
-        for cfg, result in zip(configs, batched):
-            serial = simulate(workload, mode, cfg)
-            assert result.as_dict() == serial.as_dict()
-
-    def test_try_batch_reports_vector_coverage(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("intsort")
-        configs = self._configs(config)
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is not None
-        # Not batchable: single config, programmable mode, differing cores,
-        # interpreter forced.
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs[:1]) is None
-        assert try_simulate_batch_vector(workload, PrefetchMode.MANUAL, configs) is None
-        mixed = [configs[0], configs[1].with_core(rob_entries=64)]
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, mixed) is None
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is None
-
-    def test_geometry_sweep_is_backend_independent(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("randacc")
-        sizes = [8 * 1024, 16 * 1024, 32 * 1024]
-        vector = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        interp = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
-        assert list(vector) == sizes == list(interp)
-        for size in sizes:
-            assert vector[size].as_dict() == interp[size].as_dict()
-        # Larger caches can only help at equal geometry elsewhere.
-        assert vector[32 * 1024].cycles <= vector[8 * 1024].cycles
-
-    def test_batch_replay_shares_one_column_pass(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("intsort")
-        workload.build()
-        trace = workload.trace("plain")
-        calls = {"plans": 0}
-        original_init = TraceColumnPlan.__init__
-
-        def counting_init(self, *args, **kwargs):
-            calls["plans"] += 1
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TraceColumnPlan, "__init__", counting_init)
-        hierarchies = [
-            MemoryHierarchy(cfg, workload.space) for cfg in self._configs(config)
-        ]
-        stats = replay_trace_batch(trace, hierarchies, config.core)
-        assert len(stats) == len(hierarchies)
-        assert calls["plans"] == 1
-
-    def test_engine_counts_batched_requests(self, config):
+class TestGeometryRequests:
+    def test_engine_requests_differing_only_in_geometry_match_direct_simulations(
+        self, config
+    ):
+        # Each request runs its own replay; nothing is shared between them
+        # beyond the group's resolved trace.
         configs = [
             config.with_caches(l1={"size_bytes": size})
             for size in (8 * 1024, 16 * 1024, 32 * 1024)
@@ -297,27 +273,9 @@ class TestMultiConfigBatching:
             SimRequest(workload="intsort", mode="none", scale="tiny", config=cfg)
             for cfg in configs
         )
-        engine = SimEngine(runner=SerialRunner())
-        batch = engine.run(plan)
-        assert batch.stats.batched == len(configs)
-        assert "vector-batched" in batch.stats.summary()
+        batch = SimEngine(runner=SerialRunner()).run(plan)
         for request, cfg in zip(plan, configs):
             direct = simulate(
                 registry.build("intsort", scale="tiny", seed=42), request.prefetch_mode, cfg
             )
             assert batch[request].as_dict() == direct.as_dict()
-
-    def test_engine_batched_is_zero_under_interpreter(self, config, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        plan = SimPlan(
-            SimRequest(
-                workload="intsort",
-                mode="none",
-                scale="tiny",
-                config=config.with_caches(l1={"size_bytes": size}),
-            )
-            for size in (8 * 1024, 16 * 1024)
-        )
-        batch = SimEngine(runner=SerialRunner()).run(plan)
-        assert batch.stats.batched == 0
-        assert len(batch) == 2
