@@ -252,7 +252,6 @@ class ServiceClient:
         requests: Sequence[SimRequest],
         *,
         deadline: Optional[float] = None,
-        stream: bool = False,
     ) -> int:
         """Send one submission; returns its id.  Events via :meth:`read_event`."""
 
@@ -264,8 +263,6 @@ class ServiceClient:
         }
         if deadline is not None:
             message["deadline"] = deadline
-        if stream:
-            message["stream"] = True
         self._send(message)
         return sid
 
@@ -275,7 +272,6 @@ class ServiceClient:
         on_event: Optional[EventCallback] = None,
         *,
         deadline: Optional[float] = None,
-        stream: bool = False,
     ) -> dict[str, Any]:
         """Submit and block until ``done``; returns the done message.
 
@@ -296,10 +292,9 @@ class ServiceClient:
         connection-retry attempts: being told "later" is flow control, not
         a fault.
 
-        With ``stream=True`` the server additionally emits a
-        per-digest ``outcome`` event as each result lands; the events flow
-        through ``on_event`` like every other message, which is how the
-        failover engine banks partial progress.
+        The server emits a per-digest ``outcome`` event as each result
+        lands; the events flow through ``on_event`` like every other
+        message, which is how the failover engine banks partial progress.
         """
 
         rejections = 0
@@ -308,7 +303,7 @@ class ServiceClient:
             if self._sock is None:
                 self.connect()
             try:
-                sid = self.submit_nowait(requests, deadline=deadline, stream=stream)
+                sid = self.submit_nowait(requests, deadline=deadline)
             except ServiceError:
                 attempt += 1
                 if attempt >= self.retry_policy.max_attempts:
@@ -658,10 +653,7 @@ class ServiceEngine:
             try:
                 client = self._client_for(endpoint)
                 done = client.submit(
-                    pending,
-                    on_event=banking_on_event,
-                    deadline=self.deadline,
-                    stream=True,
+                    pending, on_event=banking_on_event, deadline=self.deadline
                 )
             except ServiceError:
                 # Connect failure, mid-plan disconnect, drain refusal:

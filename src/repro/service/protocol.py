@@ -11,9 +11,7 @@ Client → server
     ``submit``     ``{"id": <client id>, "requests": [<wire request>, ...]}``
                    plus an optional ``"deadline"`` (seconds): after that
                    budget the server fails the submission's unresolved
-                   requests instead of keeping it waiting forever; and an
-                   optional ``"stream": true`` asking for ``outcome``
-                   events.
+                   requests instead of keeping it waiting forever.
     ``stats``      global server counters; answered with ``stats``.
     ``ping``       liveness probe; answered with ``pong``.
     ``health``     readiness probe; answered with ``health``: uptime,
@@ -38,9 +36,8 @@ Server → client
                        can observe dispatch order).
     ``chunk-requeued`` the chunk's worker crashed and it was requeued.
     ``progress``       ``completed``/``total`` unique digests resolved.
-    ``outcome``        one executed digest's outcome, streamed as it lands
-                       (only for submissions that set ``"stream": true``).
-                       Carries the ``positions`` of the resolved requests
+    ``outcome``        one executed digest's outcome, streamed to every
+                       submission waiting on it as it lands.  Carries the ``positions`` of the resolved requests
                        in the submitted list, so a failover client can
                        bank partial results before a daemon dies and
                        resubmit only what is missing.

@@ -36,9 +36,9 @@ Robustness guarantees (exercised by the fault-injection tests):
   clients (or already running) continues and warms the caches;
 * **HA fabric**: a ``health`` readiness probe (uptime, queue depth,
   in-flight digests, pool generation, cache state) that failover clients
-  select endpoints by, and streamed per-digest ``outcome`` events for
-  submissions that opt in, so a client surviving this daemon's death
-  resubmits only the unresolved remainder elsewhere.  Daemons share warm
+  select endpoints by, and a per-digest ``outcome`` event streamed to
+  every submission as each result lands, so a client surviving this
+  daemon's death resubmits only the unresolved remainder elsewhere.  Daemons share warm
   results by pointing ``--cache`` at one directory.
 """
 
@@ -167,15 +167,9 @@ class _Submission:
         conn: _Connection,
         sid: Any,
         requests: list[SimRequest],
-        *,
-        stream: bool = False,
     ) -> None:
         self.conn = conn
         self.sid = sid
-        #: Stream per-digest ``outcome`` events as results land, so a
-        #: failover client can bank partial progress before this daemon
-        #: (or the connection) dies.
-        self.stream = stream
         self.digests = [request.digest for request in requests]
         #: Positions of each digest in the submitted request list, for the
         #: positional ``outcome`` events (clients map positions back to
@@ -493,8 +487,7 @@ class ReproServer:
             )
             return
 
-        stream = bool(message.get("stream"))
-        submission = _Submission(conn, sid, requests, stream=stream)
+        submission = _Submission(conn, sid, requests)
         conn.submissions[sid] = submission
         counts = submission.counts
         to_schedule: list[SimRequest] = []
@@ -755,17 +748,16 @@ class ReproServer:
             elif outcome["status"] == "failed":
                 counts["failed"] += 1
                 counts["failures"][failure] = counts["failures"].get(failure, 0) + 1
-            if submission.stream:
-                # Failover clients bank these as they land, so a daemon
-                # dying mid-plan costs only the unresolved remainder.
-                submission.conn.send(
-                    {
-                        "type": "outcome",
-                        "id": submission.sid,
-                        "positions": submission.positions.get(digest, []),
-                        "outcome": outcome,
-                    }
-                )
+            # Failover clients bank these as they land, so a daemon dying
+            # mid-plan costs only the unresolved remainder.
+            submission.conn.send(
+                {
+                    "type": "outcome",
+                    "id": submission.sid,
+                    "positions": submission.positions.get(digest, []),
+                    "outcome": outcome,
+                }
+            )
             if submission.deliver(digest, outcome):
                 self._finish_submission(submission)
             else:

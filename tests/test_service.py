@@ -172,6 +172,20 @@ def test_duplicate_requests_within_one_submission_deduplicate():
     assert len(batch.results) == 2
 
 
+def test_plain_run_plan_sees_one_outcome_event_per_executed_request():
+    events = []
+    with ServerThread(workers=2) as daemon:
+        with ServiceClient(daemon.address, timeout=600.0) as client:
+            batch = run_plan(
+                client, comparison_plan(["intsort"], scale="tiny"), on_event=events.append
+            )
+    outcomes = [event for event in events if event.get("type") == "outcome"]
+    assert batch.stats.executed == batch.stats.unique > 0
+    assert len(outcomes) == batch.stats.executed
+    positions = sorted(position for event in outcomes for position in event["positions"])
+    assert positions == list(range(batch.stats.unique))
+
+
 # ---------------------------------------------------------------- fairness
 
 
